@@ -98,34 +98,76 @@ fn main() {
             type Row = (&'static str, f64, u64, f64, u64, Result<(), String>);
             let rows: Vec<Row> = vec![
                 {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_matching(g, &batch, &mm_prior.mate, &opts));
+                    let (rms, rr) = time_min(cfg.reps, || {
+                        repair::repair_matching(g, &batch, &mm_prior.mate, &opts)
+                    });
                     let (fms, fr) = time_min(cfg.reps, || {
                         let g2 = batch.materialize(g);
-                        maximal_matching_opts(&g2, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
+                        maximal_matching_opts(
+                            &g2,
+                            MmAlgorithm::Baseline,
+                            Arch::Cpu,
+                            cfg.seed,
+                            &opts,
+                        )
                     });
                     let valid = verify::check_maximal_matching(&edited, &rr.mate);
-                    ("GM", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
+                    (
+                        "GM",
+                        rms,
+                        rr.stats.counters.edges_scanned,
+                        fms,
+                        fr.stats.counters.edges_scanned,
+                        valid,
+                    )
                 },
                 {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_mis(g, &batch, &mis_prior.in_set, &opts));
+                    let (rms, rr) = time_min(cfg.reps, || {
+                        repair::repair_mis(g, &batch, &mis_prior.in_set, &opts)
+                    });
                     let (fms, fr) = time_min(cfg.reps, || {
                         let g2 = batch.materialize(g);
-                        maximal_independent_set_opts(&g2, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
+                        maximal_independent_set_opts(
+                            &g2,
+                            MisAlgorithm::Baseline,
+                            Arch::Cpu,
+                            cfg.seed,
+                            &opts,
+                        )
                     });
                     let valid = verify::check_maximal_independent_set(&edited, &rr.in_set);
-                    ("LubyMIS", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
+                    (
+                        "LubyMIS",
+                        rms,
+                        rr.stats.counters.edges_scanned,
+                        fms,
+                        fr.stats.counters.edges_scanned,
+                        valid,
+                    )
                 },
                 {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_coloring(g, &batch, &col_prior.color, &opts));
+                    let (rms, rr) = time_min(cfg.reps, || {
+                        repair::repair_coloring(g, &batch, &col_prior.color, &opts)
+                    });
                     let (fms, fr) = time_min(cfg.reps, || {
                         let g2 = batch.materialize(g);
-                        vertex_coloring_opts(&g2, ColorAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
+                        vertex_coloring_opts(
+                            &g2,
+                            ColorAlgorithm::Baseline,
+                            Arch::Cpu,
+                            cfg.seed,
+                            &opts,
+                        )
                     });
                     let valid = verify::check_coloring(&edited, &rr.color);
-                    ("JP-color", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
+                    (
+                        "JP-color",
+                        rms,
+                        rr.stats.counters.edges_scanned,
+                        fms,
+                        fr.stats.counters.edges_scanned,
+                        valid,
+                    )
                 },
             ];
 

@@ -258,8 +258,7 @@ mod tests {
     #[test]
     fn mis_repair_valid_and_maximal() {
         let g = base_graph();
-        let prior =
-            mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 3);
         check_maximal_independent_set(&g, &prior.in_set).unwrap();
         let log = edit_script();
         let repaired = repair_mis(&g, &log, &prior.in_set, &SolveOpts::default());
@@ -270,8 +269,7 @@ mod tests {
     #[test]
     fn coloring_repair_proper() {
         let g = base_graph();
-        let prior =
-            coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 3);
         check_coloring(&g, &prior.color).unwrap();
         let log = edit_script();
         let repaired = repair_coloring(&g, &log, &prior.color, &SolveOpts::default());

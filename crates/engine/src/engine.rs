@@ -721,8 +721,8 @@ fn patch_decomposition(
             let base_n = old.part.len();
             let mut part = old.part.clone();
             part.resize(n, 0);
-            for v in base_n..n {
-                part[v] = bounded(hash2(seed, v as u64), k as u64) as u32;
+            for (v, p) in part.iter_mut().enumerate().skip(base_n) {
+                *p = bounded(hash2(seed, v as u64), k as u64) as u32;
             }
             let class: Vec<u8> = edited
                 .edge_list()
@@ -1143,8 +1143,14 @@ mod tests {
         let hop2 = engine.apply_edits_from("default", &hop1.graph, hop1.fingerprint, &log2);
         assert!(!hop2.graph_cached);
         assert_eq!(hop2.decomps_patched, 1, "hop1's entry follows the rebase");
-        let patched =
-            engine.solve_on_fingerprinted(&hop2.graph, hop2.fingerprint, solver, Arch::Cpu, 7, &opts);
+        let patched = engine.solve_on_fingerprinted(
+            &hop2.graph,
+            hop2.fingerprint,
+            solver,
+            Arch::Cpu,
+            7,
+            &opts,
+        );
         assert_eq!(patched.decomp_cached, Some(true));
         let fresh = Engine::with_cap(0).solve_on(&hop2.graph, solver, Arch::Cpu, 7, &opts);
         assert_eq!(patched.solution, fresh.solution);
@@ -1152,7 +1158,8 @@ mod tests {
 
         // An empty log under a precomputed fingerprint is the base
         // itself, with the same identity.
-        let noop = engine.apply_edits_from("default", &hop2.graph, hop2.fingerprint, &EditLog::new());
+        let noop =
+            engine.apply_edits_from("default", &hop2.graph, hop2.fingerprint, &EditLog::new());
         assert!(noop.graph_cached);
         assert_eq!(noop.fingerprint, hop2.fingerprint);
         assert!(Arc::ptr_eq(&noop.graph, &hop2.graph));

@@ -431,22 +431,20 @@ pub fn solve_response_json(
     s
 }
 
-/// Response for a completed mutate: the solve response plus the repair
-/// provenance — whether the solution was repaired from the stream's prior
-/// (vs freshly solved to prime it), how many edits this request applied,
-/// the stream's cumulative edit count, and how many cached decompositions
-/// of the base were patched across the edit.
+/// Response for a completed mutate: the solve response (`solve`, from
+/// [`solve_response_json`]) plus the repair provenance — whether the
+/// solution was repaired from the stream's prior (vs freshly solved to
+/// prime it), how many edits this request applied, the stream's cumulative
+/// edit count, and how many cached decompositions of the base were patched
+/// across the edit.
 pub fn mutate_response_json(
-    id: &str,
-    record: &JobRecord,
-    queue_ms: f64,
-    want_solution: bool,
+    solve: String,
     repaired: bool,
     edits_applied: u64,
     edits_total: u64,
     decomps_patched: u64,
 ) -> String {
-    let mut s = solve_response_json(id, record, queue_ms, want_solution);
+    let mut s = solve;
     s.pop(); // strip the closing brace; the base form is a JSON object
     s += &format!(
         ",\"op\":\"mutate\",\"repaired\":{repaired},\"edits_applied\":{edits_applied},\
@@ -650,7 +648,8 @@ mod tests {
             fresh_wall_ms: None,
             solution: None,
         };
-        let line = mutate_response_json("m1", &record, 0.1, false, true, 3, 7, 2);
+        let solve = solve_response_json("m1", &record, 0.1, false);
+        let line = mutate_response_json(solve, true, 3, 7, 2);
         let reply = Reply::parse(&line).unwrap();
         assert_eq!(reply.status(), "ok");
         assert_eq!(reply.str_field("op"), Some("mutate"));

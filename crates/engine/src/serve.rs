@@ -635,11 +635,14 @@ impl Shared {
             edits_total,
         });
         drop(stream);
-        bump(if repaired {
-            &self.repairs.repaired
-        } else {
-            &self.repairs.fresh
-        }, 1);
+        bump(
+            if repaired {
+                &self.repairs.repaired
+            } else {
+                &self.repairs.fresh
+            },
+            1,
+        );
         bump(&self.repairs.edits_applied, edits.len() as u64);
         bump(&self.repairs.decomps_patched, out.decomps_patched as u64);
         let record = JobRecord {
@@ -676,10 +679,7 @@ impl Shared {
         (
             &self.counts.ok,
             mutate_response_json(
-                &params.id,
-                &record,
-                queue_ms,
-                params.want_solution,
+                solve_response_json(&params.id, &record, queue_ms, params.want_solution),
                 repaired,
                 edits.len() as u64,
                 edits_total,

@@ -117,10 +117,8 @@ fn main() -> ExitCode {
         use sb_core::Arch;
         use sb_fuzz::SolverConfig;
         use sb_graph::editlog::EditLog;
-        let g = sb_graph::builder::from_edge_list(
-            6,
-            &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)],
-        );
+        let g =
+            sb_graph::builder::from_edge_list(6, &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
         let seq = [EditLog::parse("-0-1,-0-2,-1-2,+0-3,+0-4,+0-5").unwrap()];
         for cfg in [
             SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu),

@@ -435,8 +435,9 @@ pub fn check_edit_chain(
                 Output::Mate(mate) => {
                     verify::check_maximal_matching(&next, mate).map_err(|e| e.to_string())
                 }
-                Output::Set(in_set) => verify::check_maximal_independent_set(&next, in_set)
-                    .map_err(|e| e.to_string()),
+                Output::Set(in_set) => {
+                    verify::check_maximal_independent_set(&next, in_set).map_err(|e| e.to_string())
+                }
                 Output::Color(color) => {
                     verify::check_coloring(&next, color).map_err(|e| e.to_string())
                 }
@@ -449,7 +450,11 @@ pub fn check_edit_chain(
                         kind: "edit-validity",
                         detail: format!(
                             "{tag}: repaired ({}) and fresh ({}) disagree on validity: {}",
-                            if repaired_check.is_ok() { "valid" } else { "invalid" },
+                            if repaired_check.is_ok() {
+                                "valid"
+                            } else {
+                                "invalid"
+                            },
                             if fresh_ok { "valid" } else { "invalid" },
                             repaired_check.err().unwrap_or_else(|| "-".into()),
                         ),

@@ -150,11 +150,7 @@ mod tests {
     fn ddmin_list_keeps_only_the_failing_items() {
         // Failure: "contains both 7 and 13". Everything else must go.
         let items: Vec<u32> = (0..40).collect();
-        let (min, _, oob) = ddmin_list(
-            &items,
-            |s| s.contains(&7) && s.contains(&13),
-            10_000,
-        );
+        let (min, _, oob) = ddmin_list(&items, |s| s.contains(&7) && s.contains(&13), 10_000);
         assert_eq!(min, vec![7, 13]);
         assert!(!oob);
     }

@@ -1,14 +1,23 @@
 //! Edge-list ingestion.
 //!
 //! Applies the paper's preprocessing (§II-D): directed edges are converted to
-//! undirected, self-loops are ignored, duplicates are merged. Construction is
-//! parallel: normalize + sort + dedup the edge list, then build both CSR
-//! directions with a histogram/scan/scatter pipeline.
+//! undirected, self-loops are ignored, duplicates are merged. The edge list
+//! is normalized to `(min, max)` on push, then sorted (in parallel) and
+//! deduplicated at build time; edge `e` of the sorted list gets id `e`.
+//!
+//! Both CSR directions come from one sequential counting scatter that walks
+//! the sorted list in order, and no row is sorted afterwards. Row `w`
+//! receives neighbour `x` from every edge `(x, w)` with `x < w`, and
+//! neighbour `y` from every edge `(w, y)` with `w < y`. In the sorted list
+//! all edges `(x, w)` come before all edges `(w, y)`, because their first
+//! component is smaller; within each group the other endpoint ascends. So
+//! row `w` is its lower neighbours ascending, then its upper neighbours
+//! ascending: sorted, duplicate-free, and with edge ids aligned. A
+//! deduplicated CSR with sorted rows is unique, so this is the same graph
+//! any other correct construction produces.
 
 use crate::csr::{Graph, VertexId};
 use rayon::prelude::*;
-use sb_par::prim::exclusive_scan_vec;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Accumulates edges and produces a [`Graph`].
 #[derive(Debug, Clone, Default)]
@@ -76,70 +85,52 @@ impl GraphBuilder {
 
     /// Finalize into an immutable CSR graph.
     pub fn build(self) -> Graph {
+        let t = std::time::Instant::now();
         let Self { n, mut edges } = self;
         // Normalize happened on push; drop self-loops, sort, dedup.
         edges.retain(|&[u, v]| u != v);
-        edges.par_sort_unstable();
+        // Edge lists written by `io::write_edge_list` arrive sorted; the
+        // check is one pass, the parallel sort two scratch copies.
+        if !edges.is_sorted() {
+            edges.par_sort_unstable();
+        }
         edges.dedup();
         let m = edges.len();
         assert!(m < u32::MAX as usize, "edge ids must fit in u32");
 
-        // Degree histogram over both arc directions.
-        let mut degrees = vec![0usize; n];
-        {
-            let deg = sb_par::atomic::as_atomic_usize(&mut degrees);
-            edges.par_iter().for_each(|&[u, v]| {
-                deg[u as usize].fetch_add(1, Ordering::Relaxed);
-                deg[v as usize].fetch_add(1, Ordering::Relaxed);
-            });
+        // Degree count over both arc directions, then an in-place scan:
+        // `offsets[v]` becomes the start of row `v`.
+        let mut offsets = vec![0usize; n + 1];
+        for &[u, v] in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let (offsets, total) = exclusive_scan_vec(&degrees);
-        debug_assert_eq!(total, 2 * m);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        debug_assert_eq!(offsets[n], 2 * m);
 
-        // Scatter arcs. A per-vertex atomic cursor keeps this parallel.
+        // Scatter arcs in sorted-edge order; rows come out sorted (module
+        // doc). `offsets[v]` serves as row `v`'s cursor and ends at the
+        // start of row `v + 1`, so one shift restores the row starts.
         let mut neighbors = vec![0u32; 2 * m];
         let mut edge_ids = vec![0u32; 2 * m];
-        {
-            let cursors: Vec<AtomicUsize> = offsets.iter().map(|&o| AtomicUsize::new(o)).collect();
-            // SAFETY: each slot index is claimed exactly once via the atomic
-            // cursor fetch_add, so no two threads write the same element.
-            let nb_ptr = SendPtr(neighbors.as_mut_ptr());
-            let ei_ptr = SendPtr(edge_ids.as_mut_ptr());
-            edges.par_iter().enumerate().for_each(|(e, &[u, v])| {
-                let su = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-                let sv = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                unsafe {
-                    *nb_ptr.get().add(su) = v;
-                    *ei_ptr.get().add(su) = e as u32;
-                    *nb_ptr.get().add(sv) = u;
-                    *ei_ptr.get().add(sv) = e as u32;
-                }
-            });
+        for (e, &[u, v]) in edges.iter().enumerate() {
+            for (a, b) in [(u, v), (v, u)] {
+                let slot = &mut offsets[a as usize];
+                neighbors[*slot] = b;
+                edge_ids[*slot] = e as u32;
+                *slot += 1;
+            }
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
 
-        // Sort each row by neighbor (keeping edge ids aligned) so adjacency
-        // queries can binary-search. Rows are disjoint → parallel per vertex.
-        let mut full_offsets = offsets;
-        full_offsets.push(2 * m);
-        {
-            let rows: Vec<(usize, usize)> = (0..n)
-                .map(|v| (full_offsets[v], full_offsets[v + 1]))
-                .collect();
-            let nb_ptr = SendPtr(neighbors.as_mut_ptr());
-            let ei_ptr = SendPtr(edge_ids.as_mut_ptr());
-            rows.par_iter().for_each(|&(lo, hi)| {
-                // SAFETY: row ranges [lo, hi) are pairwise disjoint.
-                let nb = unsafe { std::slice::from_raw_parts_mut(nb_ptr.get().add(lo), hi - lo) };
-                let ei = unsafe { std::slice::from_raw_parts_mut(ei_ptr.get().add(lo), hi - lo) };
-                // Co-sort the two small arrays by neighbor id.
-                let mut perm: Vec<u32> = (0..(hi - lo) as u32).collect();
-                perm.sort_unstable_by_key(|&i| nb[i as usize]);
-                apply_permutation(&perm, nb, ei);
-            });
-        }
-
-        let g = Graph::from_parts(full_offsets, neighbors, edge_ids, edges);
+        let g = Graph::from_parts(offsets, neighbors, edge_ids, edges);
         debug_assert!(g.validate().is_ok());
+        sb_metrics::global()
+            .histogram("sb_graph_build_ms", sb_metrics::Class::Runtime)
+            .observe(crate::io::round_ms(t.elapsed()));
         g
     }
 }
@@ -149,32 +140,74 @@ pub fn from_edge_list(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
     GraphBuilder::new(n).edges(edges.iter().copied()).build()
 }
 
-/// Apply permutation `perm` to both `a` and `b` in place (small rows, O(k) scratch).
-fn apply_permutation(perm: &[u32], a: &mut [u32], b: &mut [u32]) {
-    let ta: Vec<u32> = perm.iter().map(|&i| a[i as usize]).collect();
-    let tb: Vec<u32> = perm.iter().map(|&i| b[i as usize]).collect();
-    a.copy_from_slice(&ta);
-    b.copy_from_slice(&tb);
-}
-
-/// Raw pointer wrapper so disjoint-index parallel scatters can cross the
-/// closure boundary; soundness is argued at each use site. Access goes
-/// through [`SendPtr::get`] so edition-2021 closures capture the wrapper
-/// (which is `Sync`) rather than the raw pointer field (which is not).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The CSR the preprocessing defines, built the obvious way: the edge
+    /// set with loops dropped and both orientations merged, numbered in
+    /// sorted order, and each row read off a `BTreeMap`.
+    fn naive_csr(n: usize, raw: &[(u32, u32)]) -> Graph {
+        let edges: Vec<[u32; 2]> = raw
+            .iter()
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| [u.min(v), u.max(v)])
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut rows = vec![BTreeMap::new(); n];
+        for (e, &[u, v]) in edges.iter().enumerate() {
+            rows[u as usize].insert(v, e as u32);
+            rows[v as usize].insert(u, e as u32);
+        }
+        let mut offsets = vec![0usize];
+        let (mut neighbors, mut edge_ids) = (Vec::new(), Vec::new());
+        for row in &rows {
+            neighbors.extend(row.keys().copied());
+            edge_ids.extend(row.values().copied());
+            offsets.push(neighbors.len());
+        }
+        Graph::from_parts(offsets, neighbors, edge_ids, edges)
+    }
+
+    /// Random edge lists on up to 40 vertices: isolated vertices, loops and
+    /// duplicates in both orientations come up often at this density; half
+    /// the cases also add a star on a random hub.
+    fn arb_input() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+        (1usize..40).prop_flat_map(|n| {
+            let n32 = n as u32;
+            (
+                proptest::collection::vec((0..n32, 0..n32), 0..120),
+                0..n32,
+                0usize..2,
+            )
+                .prop_map(move |(mut raw, hub, star)| {
+                    if star == 1 {
+                        raw.extend((0..n32).map(|v| (hub, v)));
+                        raw.extend((0..n32).rev().map(|v| (v, hub)));
+                    }
+                    (n, raw)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn build_matches_naive_btreeset_csr(input in arb_input()) {
+            let (n, raw) = input;
+            let g = GraphBuilder::new(n).edges(raw.iter().copied()).build();
+            g.validate().map_err(TestCaseError::fail)?;
+            let want = naive_csr(n, &raw);
+            prop_assert_eq!(&g.offsets[..], &want.offsets[..]);
+            prop_assert_eq!(&g.neighbors[..], &want.neighbors[..]);
+            prop_assert_eq!(&g.edge_ids[..], &want.edge_ids[..]);
+            prop_assert_eq!(&g.edges[..], &want.edges[..]);
+        }
+    }
 
     #[test]
     fn dedup_selfloop_symmetrize() {

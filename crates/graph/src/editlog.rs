@@ -240,9 +240,8 @@ impl<'g> Overlay<'g> {
         let mut n = base_n;
         let mut added: BTreeSet<(u32, u32)> = BTreeSet::new();
         let mut removed: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let in_base = |u: u32, v: u32| {
-            (u as usize) < base_n && (v as usize) < base_n && base.has_edge(u, v)
-        };
+        let in_base =
+            |u: u32, v: u32| (u as usize) < base_n && (v as usize) < base_n && base.has_edge(u, v);
         for &e in log.edits() {
             match e {
                 Edit::AddEdge(u, v) => {

@@ -7,7 +7,7 @@
 //!
 //! Submodules:
 //! * [`csr`] — the graph type itself and its accessors.
-//! * [`builder`] — edge-list ingestion: parallel sort, dedup, self-loop
+//! * [`builder`] — edge-list ingestion: sort, dedup, self-loop
 //!   removal, direction symmetrization (the paper's preprocessing).
 //! * [`bfs`] — level-synchronous parallel BFS (Step 1 of BRIDGE).
 //! * [`components`] — parallel connected components.

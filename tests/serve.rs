@@ -205,7 +205,10 @@ fn mutation_streams_rebase_without_losing_the_solution_contract() {
 
     let stats = client.stats().unwrap();
     let repairs = stats.raw.get("repairs").unwrap();
-    assert_eq!(repairs.get("edits_applied").and_then(|v| v.as_u64()), Some(5));
+    assert_eq!(
+        repairs.get("edits_applied").and_then(|v| v.as_u64()),
+        Some(5)
+    );
     // Batches 1 and 2 each fill the two-edit window and rebase; batch 3
     // (one edit) leaves the restarted log below it.
     assert_eq!(repairs.get("rebases").and_then(|v| v.as_u64()), Some(2));

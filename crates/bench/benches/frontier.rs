@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::mis::maximal_independent_set_opts;
+use sb_core::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_par::frontier::compact_active;
 use sb_par::rng::hash3;
@@ -62,7 +63,7 @@ fn bench_mode_end_to_end(c: &mut Criterion) {
             b.iter(|| {
                 black_box(maximal_independent_set_opts(
                     &g,
-                    MisAlgorithm::Baseline,
+                    Algo::Baseline,
                     Arch::Cpu,
                     7,
                     &opts,

@@ -25,9 +25,10 @@ use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::{fmt_ms, fmt_x};
 use sb_bench::schemas;
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
-use sb_core::matching::{maximal_matching_opts, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::matching::maximal_matching_opts;
+use sb_core::mis::maximal_independent_set_opts;
 use sb_core::verify::{check_maximal_independent_set, check_maximal_matching};
+use sb_core::Algo;
 use std::path::Path;
 
 fn main() {
@@ -48,7 +49,7 @@ fn main() {
                 Box::new(|mode| {
                     let opts = SolveOpts::with_mode(mode);
                     let (ms, r) = time_min(cfg.reps, || {
-                        maximal_matching_opts(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
+                        maximal_matching_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     check_maximal_matching(g, &r.mate).unwrap();
                     (ms, r.stats.counters.edges_scanned)
@@ -59,13 +60,7 @@ fn main() {
                 Box::new(|mode| {
                     let opts = SolveOpts::with_mode(mode);
                     let (ms, r) = time_min(cfg.reps, || {
-                        maximal_independent_set_opts(
-                            g,
-                            MisAlgorithm::Baseline,
-                            Arch::Cpu,
-                            cfg.seed,
-                            &opts,
-                        )
+                        maximal_independent_set_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                     (ms, r.stats.counters.edges_scanned)
@@ -78,7 +73,7 @@ fn main() {
                     let (ms, r) = time_min(cfg.reps, || {
                         maximal_independent_set_opts(
                             g,
-                            MisAlgorithm::Baseline,
+                            Algo::Baseline,
                             Arch::GpuSim,
                             cfg.seed,
                             &opts,

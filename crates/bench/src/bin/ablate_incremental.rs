@@ -30,10 +30,11 @@
 use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::fmt_ms;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring_opts, ColorAlgorithm};
+use sb_core::coloring::vertex_coloring_opts;
 use sb_core::common::{Arch, SolveOpts};
-use sb_core::matching::{maximal_matching_opts, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::matching::maximal_matching_opts;
+use sb_core::mis::maximal_independent_set_opts;
+use sb_core::Algo;
 use sb_core::{repair, verify};
 use sb_graph::csr::Graph;
 use sb_graph::editlog::EditLog;
@@ -84,11 +85,9 @@ fn main() {
     let mut failures = 0usize;
     for (sp, g) in &suite.graphs {
         // One prior solve per family; every batch size repairs from it.
-        let mm_prior = maximal_matching_opts(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
-        let mis_prior =
-            maximal_independent_set_opts(g, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
-        let col_prior =
-            vertex_coloring_opts(g, ColorAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
+        let mm_prior = maximal_matching_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
+        let mis_prior = maximal_independent_set_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
+        let col_prior = vertex_coloring_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
 
         for batch_size in BATCHES {
             let batch = edit_batch(g, cfg.seed, batch_size);
@@ -103,13 +102,7 @@ fn main() {
                     });
                     let (fms, fr) = time_min(cfg.reps, || {
                         let g2 = batch.materialize(g);
-                        maximal_matching_opts(
-                            &g2,
-                            MmAlgorithm::Baseline,
-                            Arch::Cpu,
-                            cfg.seed,
-                            &opts,
-                        )
+                        maximal_matching_opts(&g2, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     let valid = verify::check_maximal_matching(&edited, &rr.mate);
                     (
@@ -129,7 +122,7 @@ fn main() {
                         let g2 = batch.materialize(g);
                         maximal_independent_set_opts(
                             &g2,
-                            MisAlgorithm::Baseline,
+                            Algo::Baseline,
                             Arch::Cpu,
                             cfg.seed,
                             &opts,
@@ -151,13 +144,7 @@ fn main() {
                     });
                     let (fms, fr) = time_min(cfg.reps, || {
                         let g2 = batch.materialize(g);
-                        vertex_coloring_opts(
-                            &g2,
-                            ColorAlgorithm::Baseline,
-                            Arch::Cpu,
-                            cfg.seed,
-                            &opts,
-                        )
+                        vertex_coloring_opts(&g2, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     let valid = verify::check_coloring(&edited, &rr.color);
                     (

@@ -8,13 +8,16 @@
 use sb_bench::harness::{load_suite, mm_rand_partitions, BenchConfig};
 use sb_bench::schemas;
 use sb_core::common::Arch;
+use sb_core::common::SolveOpts;
 use sb_core::matching::gm::{gm_extend, gm_random_extend};
-use sb_core::matching::{maximal_matching, MmAlgorithm};
+use sb_core::matching::maximal_matching_opts;
 use sb_core::verify::check_maximal_matching;
+use sb_core::Algo;
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
 
 fn main() {
+    let opts = SolveOpts::default();
     let mut cfg = BenchConfig::from_env();
     if cfg.filter.is_empty() {
         cfg.filter = "rgg".into();
@@ -23,10 +26,11 @@ fn main() {
     let schema = schemas::ablate_iterations();
     let mut t = schema.table();
     for (sp, g) in &suite.graphs {
-        let base = maximal_matching(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+        let base = maximal_matching_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
         check_maximal_matching(g, &base.mate).unwrap();
         let k = mm_rand_partitions(Arch::Cpu, sp);
-        let rand = maximal_matching(g, MmAlgorithm::Rand { partitions: k }, Arch::Cpu, cfg.seed);
+        let rand =
+            maximal_matching_opts(g, Algo::Rand { partitions: k }, Arch::Cpu, cfg.seed, &opts);
         check_maximal_matching(g, &rand.mate).unwrap();
 
         // Ablation: same graph, same greedy structure, random priorities.

@@ -22,10 +22,11 @@
 use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::fmt_ms;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring_opts, ColorAlgorithm};
+use sb_core::coloring::vertex_coloring_opts;
 use sb_core::common::{Arch, SolveOpts};
-use sb_core::matching::{maximal_matching_opts, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::matching::maximal_matching_opts;
+use sb_core::mis::maximal_independent_set_opts;
+use sb_core::Algo;
 use sb_graph::csr::Graph;
 use sb_graph::sbg::{map_sbg, write_sbg};
 use std::path::Path;
@@ -59,7 +60,7 @@ fn main() {
                 "GM",
                 Box::new(|g: &Graph| {
                     let (ms, r) = time_min(cfg.reps, || {
-                        maximal_matching_opts(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
+                        maximal_matching_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     let bytes = r.mate.iter().flat_map(|m| m.to_le_bytes()).collect();
                     (ms, r.stats.counters.edges_scanned, bytes)
@@ -69,13 +70,7 @@ fn main() {
                 "LubyMIS",
                 Box::new(|g: &Graph| {
                     let (ms, r) = time_min(cfg.reps, || {
-                        maximal_independent_set_opts(
-                            g,
-                            MisAlgorithm::Baseline,
-                            Arch::Cpu,
-                            cfg.seed,
-                            &opts,
-                        )
+                        maximal_independent_set_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     let bytes = r.in_set.iter().map(|&b| b as u8).collect();
                     (ms, r.stats.counters.edges_scanned, bytes)
@@ -85,13 +80,7 @@ fn main() {
                 "JP-color",
                 Box::new(|g: &Graph| {
                     let (ms, r) = time_min(cfg.reps, || {
-                        vertex_coloring_opts(
-                            g,
-                            ColorAlgorithm::Baseline,
-                            Arch::Cpu,
-                            cfg.seed,
-                            &opts,
-                        )
+                        vertex_coloring_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts)
                     });
                     let bytes = r.color.iter().flat_map(|c| c.to_le_bytes()).collect();
                     (ms, r.stats.counters.edges_scanned, bytes)

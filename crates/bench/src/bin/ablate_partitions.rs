@@ -5,13 +5,16 @@
 use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::fmt_ms;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
-use sb_core::matching::{maximal_matching, MmAlgorithm};
+use sb_core::coloring::vertex_coloring_opts;
+use sb_core::common::SolveOpts;
+use sb_core::matching::maximal_matching_opts;
 use sb_core::verify::{check_coloring, check_maximal_matching};
+use sb_core::Algo;
 
 const KS: [usize; 6] = [2, 4, 10, 20, 50, 100];
 
 fn main() {
+    let opts = SolveOpts::default();
     let cfg = BenchConfig::from_env();
     let suite = load_suite(&cfg);
     let arch = cfg.arch;
@@ -25,12 +28,12 @@ fn main() {
         let mut col_row = vec![sp.name.to_string()];
         for k in KS {
             let (ms, run) = time_min(cfg.reps, || {
-                maximal_matching(g, MmAlgorithm::Rand { partitions: k }, arch, cfg.seed)
+                maximal_matching_opts(g, Algo::Rand { partitions: k }, arch, cfg.seed, &opts)
             });
             check_maximal_matching(g, &run.mate).unwrap();
             mm_row.push(fmt_ms(ms));
             let (ms, run) = time_min(cfg.reps, || {
-                vertex_coloring(g, ColorAlgorithm::Rand { partitions: k }, arch, cfg.seed)
+                vertex_coloring_opts(g, Algo::Rand { partitions: k }, arch, cfg.seed, &opts)
             });
             check_coloring(g, &run.color).unwrap();
             col_row.push(fmt_ms(ms));

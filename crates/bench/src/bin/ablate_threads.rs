@@ -26,9 +26,11 @@ use sb_bench::harness::{load_suite, thread_counts, time_min, BenchConfig};
 use sb_bench::report::{fmt_ms, fmt_speedup};
 use sb_bench::schemas;
 use sb_core::common::Arch;
-use sb_core::matching::{maximal_matching, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set, MisAlgorithm};
+use sb_core::common::SolveOpts;
+use sb_core::matching::maximal_matching_opts;
+use sb_core::mis::maximal_independent_set_opts;
 use sb_core::verify::{check_maximal_independent_set, check_maximal_matching};
+use sb_core::Algo;
 use sb_par::with_threads;
 use std::path::Path;
 
@@ -53,6 +55,7 @@ fn skewed_spin(items: usize) -> u64 {
 }
 
 fn main() {
+    let opts = SolveOpts::default();
     let mut cfg = BenchConfig::from_env();
     if cfg.filter.is_empty() {
         cfg.filter = "webbase".into(); // one representative graph by default
@@ -69,18 +72,19 @@ fn main() {
             (
                 format!("{} / GM", sp.name),
                 Box::new(|| {
-                    let r = maximal_matching(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+                    let r = maximal_matching_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
             ),
             (
                 format!("{} / MM-Rand(10)", sp.name),
                 Box::new(|| {
-                    let r = maximal_matching(
+                    let r = maximal_matching_opts(
                         g,
-                        MmAlgorithm::Rand { partitions: 10 },
+                        Algo::Rand { partitions: 10 },
                         Arch::Cpu,
                         cfg.seed,
+                        &opts,
                     );
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
@@ -88,18 +92,20 @@ fn main() {
             (
                 format!("{} / LubyMIS", sp.name),
                 Box::new(|| {
-                    let r = maximal_independent_set(g, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+                    let r =
+                        maximal_independent_set_opts(g, Algo::Baseline, Arch::Cpu, cfg.seed, &opts);
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),
             ),
             (
                 format!("{} / MIS-Deg2", sp.name),
                 Box::new(|| {
-                    let r = maximal_independent_set(
+                    let r = maximal_independent_set_opts(
                         g,
-                        MisAlgorithm::Degk { k: 2 },
+                        Algo::Degk { k: 2 },
                         Arch::Cpu,
                         cfg.seed,
+                        &opts,
                     );
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),

@@ -7,11 +7,14 @@
 use sb_bench::harness::{color_rand_partitions, load_suite, BenchConfig};
 use sb_bench::report::mean;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
+use sb_core::coloring::vertex_coloring_opts;
 use sb_core::common::Arch;
+use sb_core::common::SolveOpts;
 use sb_core::verify::{check_coloring, color_count};
+use sb_core::Algo;
 
 fn main() {
+    let opts = SolveOpts::default();
     let cfg = BenchConfig::from_env();
     let suite = load_suite(&cfg);
     let schema = schemas::color_overhead();
@@ -20,18 +23,18 @@ fn main() {
         let mut over = [Vec::new(), Vec::new(), Vec::new()];
         let mut delta = [Vec::new(), Vec::new(), Vec::new()];
         for (_, g) in &suite.graphs {
-            let base = vertex_coloring(g, ColorAlgorithm::Baseline, arch, cfg.seed);
+            let base = vertex_coloring_opts(g, Algo::Baseline, arch, cfg.seed, &opts);
             check_coloring(g, &base.color).unwrap();
             let base_colors = color_count(&base.color) as f64;
             let algos = [
-                ColorAlgorithm::Bridge,
-                ColorAlgorithm::Rand {
+                Algo::Bridge,
+                Algo::Rand {
                     partitions: color_rand_partitions(arch),
                 },
-                ColorAlgorithm::Degk { k: 2 },
+                Algo::Degk { k: 2 },
             ];
             for (i, algo) in algos.into_iter().enumerate() {
-                let run = vertex_coloring(g, algo, arch, cfg.seed);
+                let run = vertex_coloring_opts(g, algo, arch, cfg.seed, &opts);
                 check_coloring(g, &run.color).unwrap();
                 let c = color_count(&run.color) as f64;
                 over[i].push(100.0 * (c / base_colors - 1.0));

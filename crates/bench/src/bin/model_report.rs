@@ -10,10 +10,8 @@
 use sb_bench::harness::{load_suite, BenchConfig};
 use sb_bench::report::Table;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
-use sb_core::common::Arch;
-use sb_core::matching::{maximal_matching, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set, MisAlgorithm};
+use sb_core::common::{Arch, SolveOpts};
+use sb_core::{Algo, Solver};
 use sb_par::counters::{CounterSnapshot, GpuCostModel};
 
 fn row(label: &str, s: CounterSnapshot, t: &mut Table) {
@@ -49,49 +47,18 @@ fn main() {
     for (sp, g) in &suite.graphs {
         let schema = schemas::model_report(sp.name, g.num_vertices(), g.num_edges());
         let mut t = schema.table();
-        let arch = Arch::GpuSim;
-        row(
-            "LMAX (baseline)",
-            maximal_matching(g, MmAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
-        row(
-            "MM-Rand(100)",
-            maximal_matching(g, MmAlgorithm::Rand { partitions: 100 }, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
-        row(
-            "EB (baseline)",
-            vertex_coloring(g, ColorAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
-        row(
-            "COLOR-Deg2",
-            vertex_coloring(g, ColorAlgorithm::Degk { k: 2 }, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
-        row(
-            "LubyMIS (baseline)",
-            maximal_independent_set(g, MisAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
-        row(
-            "MIS-Deg2",
-            maximal_independent_set(g, MisAlgorithm::Degk { k: 2 }, arch, cfg.seed)
-                .stats
-                .counters,
-            &mut t,
-        );
+        for (label, solver) in [
+            ("LMAX (baseline)", Solver::Mm(Algo::Baseline)),
+            ("MM-Rand(100)", Solver::Mm(Algo::Rand { partitions: 100 })),
+            ("EB (baseline)", Solver::Color(Algo::Baseline)),
+            ("COLOR-Deg2", Solver::Color(Algo::Degk { k: 2 })),
+            ("LubyMIS (baseline)", Solver::Mis(Algo::Baseline)),
+            ("MIS-Deg2", Solver::Mis(Algo::Degk { k: 2 })),
+        ] {
+            let opts = SolveOpts::default();
+            let (_, stats) = sb_core::solve(g, solver, Arch::GpuSim, cfg.seed, &opts, None);
+            row(label, stats.counters, &mut t);
+        }
         t.emit(&schema.name);
     }
 }

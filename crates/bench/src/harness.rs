@@ -82,11 +82,7 @@ impl BenchConfig {
                         .map_err(|_| format!("--seed takes a u64, got '{raw}'"))?;
                 }
                 "--arch" => {
-                    cfg.arch = match val("--arch")?.as_str() {
-                        "cpu" => Arch::Cpu,
-                        "gpu" => Arch::GpuSim,
-                        other => return Err(format!("--arch must be cpu or gpu, got '{other}'")),
-                    }
+                    cfg.arch = val("--arch")?.parse().map_err(|e| format!("--arch: {e}"))?;
                 }
                 "--graphs" => cfg.filter = val("--graphs")?,
                 "--reps" => {

@@ -6,13 +6,14 @@ use crate::harness::{
 };
 use crate::report::{fmt_ms, fmt_x, mean, Table};
 use crate::schemas;
-use sb_core::coloring::{vertex_coloring_opts, ColorAlgorithm};
+use sb_core::coloring::vertex_coloring_opts;
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
-use sb_core::matching::{maximal_matching_opts, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::matching::maximal_matching_opts;
+use sb_core::mis::maximal_independent_set_opts;
 use sb_core::verify::{
     check_coloring, check_maximal_independent_set, check_maximal_matching, color_count,
 };
+use sb_core::Algo;
 use sb_datasets::suite::GraphId;
 use sb_decompose::{decompose_bridge, decompose_degk, decompose_metis_like, decompose_rand};
 use sb_graph::stats::GraphStats;
@@ -112,23 +113,23 @@ pub fn matching_figure(
     let mut speedups = Vec::new();
     for (sp, g) in &suite.graphs {
         let (base_ms, base) = time_min(reps, || {
-            maximal_matching_opts(g, MmAlgorithm::Baseline, arch, seed, &opts)
+            maximal_matching_opts(g, Algo::Baseline, arch, seed, &opts)
         });
         check_maximal_matching(g, &base.mate).expect("baseline matching invalid");
         let base_ms = effective_ms(arch, base_ms, &base.stats);
         let (bridge_ms, r) = time_min(reps, || {
-            maximal_matching_opts(g, MmAlgorithm::Bridge, arch, seed, &opts)
+            maximal_matching_opts(g, Algo::Bridge, arch, seed, &opts)
         });
         check_maximal_matching(g, &r.mate).expect("MM-Bridge invalid");
         let bridge_ms = effective_ms(arch, bridge_ms, &r.stats);
         let k = mm_rand_partitions(arch, sp);
         let (rand_ms, rand_run) = time_min(reps, || {
-            maximal_matching_opts(g, MmAlgorithm::Rand { partitions: k }, arch, seed, &opts)
+            maximal_matching_opts(g, Algo::Rand { partitions: k }, arch, seed, &opts)
         });
         check_maximal_matching(g, &rand_run.mate).expect("MM-Rand invalid");
         let rand_ms = effective_ms(arch, rand_ms, &rand_run.stats);
         let (degk_ms, r2) = time_min(reps, || {
-            maximal_matching_opts(g, MmAlgorithm::Degk { k: 2 }, arch, seed, &opts)
+            maximal_matching_opts(g, Algo::Degk { k: 2 }, arch, seed, &opts)
         });
         check_maximal_matching(g, &r2.mate).expect("MM-Degk invalid");
         let degk_ms = effective_ms(arch, degk_ms, &r2.stats);
@@ -141,7 +142,7 @@ pub fn matching_figure(
                     trace: t,
                     frontier: mode,
                 };
-                maximal_matching_opts(g, MmAlgorithm::Baseline, arch, seed, &topts)
+                maximal_matching_opts(g, Algo::Baseline, arch, seed, &topts)
             },
         );
         dump_trace(trace_dir, &format!("fig3_{arch}_{}_rand", sp.name), |t| {
@@ -149,7 +150,7 @@ pub fn matching_figure(
                 trace: t,
                 frontier: mode,
             };
-            maximal_matching_opts(g, MmAlgorithm::Rand { partitions: k }, arch, seed, &topts)
+            maximal_matching_opts(g, Algo::Rand { partitions: k }, arch, seed, &topts)
         });
 
         let speedup = base_ms / rand_ms;
@@ -185,29 +186,23 @@ pub fn coloring_figure(
     let mut speedups = Vec::new();
     for (sp, g) in &suite.graphs {
         let (base_ms, base) = time_min(reps, || {
-            vertex_coloring_opts(g, ColorAlgorithm::Baseline, arch, seed, &opts)
+            vertex_coloring_opts(g, Algo::Baseline, arch, seed, &opts)
         });
         check_coloring(g, &base.color).expect("baseline coloring invalid");
         let base_ms = effective_ms(arch, base_ms, &base.stats);
         let (bridge_ms, rb) = time_min(reps, || {
-            vertex_coloring_opts(g, ColorAlgorithm::Bridge, arch, seed, &opts)
+            vertex_coloring_opts(g, Algo::Bridge, arch, seed, &opts)
         });
         check_coloring(g, &rb.color).expect("COLOR-Bridge invalid");
         let bridge_ms = effective_ms(arch, bridge_ms, &rb.stats);
         let kp = color_rand_partitions(arch);
         let (rand_ms, rr) = time_min(reps, || {
-            vertex_coloring_opts(
-                g,
-                ColorAlgorithm::Rand { partitions: kp },
-                arch,
-                seed,
-                &opts,
-            )
+            vertex_coloring_opts(g, Algo::Rand { partitions: kp }, arch, seed, &opts)
         });
         check_coloring(g, &rr.color).expect("COLOR-Rand invalid");
         let rand_ms = effective_ms(arch, rand_ms, &rr.stats);
         let (degk_ms, rd) = time_min(reps, || {
-            vertex_coloring_opts(g, ColorAlgorithm::Degk { k: 2 }, arch, seed, &opts)
+            vertex_coloring_opts(g, Algo::Degk { k: 2 }, arch, seed, &opts)
         });
         check_coloring(g, &rd.color).expect("COLOR-Degk invalid");
         let degk_ms = effective_ms(arch, degk_ms, &rd.stats);
@@ -217,8 +212,8 @@ pub fn coloring_figure(
             Arch::GpuSim => (rand_ms, color_count(&rr.color)),
         };
         let winner_algo = match arch {
-            Arch::Cpu => ColorAlgorithm::Degk { k: 2 },
-            Arch::GpuSim => ColorAlgorithm::Rand { partitions: kp },
+            Arch::Cpu => Algo::Degk { k: 2 },
+            Arch::GpuSim => Algo::Rand { partitions: kp },
         };
         dump_trace(
             trace_dir,
@@ -228,7 +223,7 @@ pub fn coloring_figure(
                     trace: t,
                     frontier: mode,
                 };
-                vertex_coloring_opts(g, ColorAlgorithm::Baseline, arch, seed, &topts)
+                vertex_coloring_opts(g, Algo::Baseline, arch, seed, &topts)
             },
         );
         dump_trace(trace_dir, &format!("fig4_{arch}_{}_winner", sp.name), |t| {
@@ -270,23 +265,23 @@ pub fn mis_figure(
     let mut speedups = Vec::new();
     for (sp, g) in &suite.graphs {
         let (base_ms, base) = time_min(reps, || {
-            maximal_independent_set_opts(g, MisAlgorithm::Baseline, arch, seed, &opts)
+            maximal_independent_set_opts(g, Algo::Baseline, arch, seed, &opts)
         });
         check_maximal_independent_set(g, &base.in_set).expect("LubyMIS invalid");
         let base_ms = effective_ms(arch, base_ms, &base.stats);
         let (bridge_ms, r) = time_min(reps, || {
-            maximal_independent_set_opts(g, MisAlgorithm::Bridge, arch, seed, &opts)
+            maximal_independent_set_opts(g, Algo::Bridge, arch, seed, &opts)
         });
         check_maximal_independent_set(g, &r.in_set).expect("MIS-Bridge invalid");
         let bridge_ms = effective_ms(arch, bridge_ms, &r.stats);
         let k = mis_rand_partitions(arch);
         let (rand_ms, r2) = time_min(reps, || {
-            maximal_independent_set_opts(g, MisAlgorithm::Rand { partitions: k }, arch, seed, &opts)
+            maximal_independent_set_opts(g, Algo::Rand { partitions: k }, arch, seed, &opts)
         });
         check_maximal_independent_set(g, &r2.in_set).expect("MIS-Rand invalid");
         let rand_ms = effective_ms(arch, rand_ms, &r2.stats);
         let (deg2_ms, r3) = time_min(reps, || {
-            maximal_independent_set_opts(g, MisAlgorithm::Degk { k: 2 }, arch, seed, &opts)
+            maximal_independent_set_opts(g, Algo::Degk { k: 2 }, arch, seed, &opts)
         });
         check_maximal_independent_set(g, &r3.in_set).expect("MIS-Deg2 invalid");
         let deg2_ms = effective_ms(arch, deg2_ms, &r3.stats);
@@ -299,7 +294,7 @@ pub fn mis_figure(
                     trace: t,
                     frontier: mode,
                 };
-                maximal_independent_set_opts(g, MisAlgorithm::Baseline, arch, seed, &topts)
+                maximal_independent_set_opts(g, Algo::Baseline, arch, seed, &topts)
             },
         );
         dump_trace(trace_dir, &format!("fig5_{arch}_{}_deg2", sp.name), |t| {
@@ -307,7 +302,7 @@ pub fn mis_figure(
                 trace: t,
                 frontier: mode,
             };
-            maximal_independent_set_opts(g, MisAlgorithm::Degk { k: 2 }, arch, seed, &topts)
+            maximal_independent_set_opts(g, Algo::Degk { k: 2 }, arch, seed, &topts)
         });
 
         let speedup = base_ms / deg2_ms;
@@ -401,9 +396,9 @@ pub fn engine_amortization(
             timeout_ms: None,
         };
         let k = mm_rand_partitions(arch, sp);
-        jobs.push(job("mm", Solver::Mm(MmAlgorithm::Rand { partitions: k })));
-        jobs.push(job("color", Solver::Color(ColorAlgorithm::Degk { k: 2 })));
-        jobs.push(job("mis", Solver::Mis(MisAlgorithm::Degk { k: 2 })));
+        jobs.push(job("mm", Solver::Mm(Algo::Rand { partitions: k })));
+        jobs.push(job("color", Solver::Color(Algo::Degk { k: 2 })));
+        jobs.push(job("mis", Solver::Mis(Algo::Degk { k: 2 })));
     }
     run_batch_compare(&jobs, EngineConfig::default(), &BatchOptions::default())
 }

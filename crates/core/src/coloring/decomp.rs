@@ -1,20 +1,18 @@
 //! Decomposition-based coloring (Algorithms 7–9 of the paper).
 
 use super::{eb, vb, vb_window, ColoringRun};
-use crate::common::{counters_for_opts, Arch, FrontierMode, RunStats, SolveOpts};
+use crate::common::{Arch, FrontierMode, RunStats, SolveOpts};
 use crate::matching::materialize_for_gpu;
 use rayon::prelude::*;
-use sb_decompose::bicc::{decompose_bicc, BiccDecomposition};
-use sb_decompose::bridge::{decompose_bridge, BridgeDecomposition};
-use sb_decompose::degk::{decompose_degk, DegkDecomposition};
-use sb_decompose::rand_part::{decompose_rand, RandDecomposition};
+use sb_decompose::bicc::BiccDecomposition;
+use sb_decompose::bridge::BridgeDecomposition;
+use sb_decompose::degk::DegkDecomposition;
+use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::{Counters, Stopwatch};
 use sb_par::frontier::Scratch;
-use sb_trace::TraceSink;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Color the vertices of `worklist` against the edges of `view`, with the
@@ -71,23 +69,12 @@ fn base_color_extend(
 }
 
 /// The architecture's baseline colorer on the whole graph (Figure 4's bar).
-pub fn baseline_run(g: &Graph, arch: Arch, seed: u64) -> ColoringRun {
-    baseline_run_traced(g, arch, seed, None)
-}
-
-/// [`baseline_run`] reporting into `trace` when given.
-pub fn baseline_run_traced(
+pub(crate) fn baseline_solve(
     g: &Graph,
     arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
+    opts: &SolveOpts,
+    counters: Counters,
 ) -> ColoringRun {
-    baseline_run_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`baseline_run`] with full per-run options.
-pub fn baseline_run_opts(g: &Graph, arch: Arch, _seed: u64, opts: &SolveOpts) -> ColoringRun {
-    let counters = counters_for_opts(opts);
     let mut scratch = Scratch::new();
     let sw = Stopwatch::start();
     let mut color = vec![INVALID; g.num_vertices()];
@@ -109,7 +96,7 @@ pub fn baseline_run_opts(g: &Graph, arch: Arch, _seed: u64, opts: &SolveOpts) ->
     let solve_time = sw.elapsed();
     ColoringRun {
         color,
-        stats: RunStats::from_counters(std::time::Duration::ZERO, solve_time, &counters)
+        stats: RunStats::from_counters(Duration::ZERO, solve_time, &counters)
             .with_scratch(scratch.stats()),
     }
 }
@@ -151,50 +138,10 @@ fn reset_conflicts(
 ///
 /// Color `G_c` (the 2-edge-connected components share one palette), test
 /// validity against the bridges, recolor the conflicted vertices in `G`.
-pub fn color_bridge(g: &Graph, arch: Arch, seed: u64) -> ColoringRun {
-    color_bridge_traced(g, arch, seed, None)
-}
-
-/// [`color_bridge`] reporting into `trace` when given.
-pub fn color_bridge_traced(
-    g: &Graph,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> ColoringRun {
-    color_bridge_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`color_bridge`] with full per-run options.
-pub fn color_bridge_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bridge(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    color_bridge_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`color_bridge`] against a precomputed decomposition (solve phases
-/// only; zero reported decomposition time, byte-identical coloring).
-pub fn color_bridge_with(
+pub(crate) fn color_bridge_solve(
     g: &Graph,
     d: &BridgeDecomposition,
     arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    color_bridge_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn color_bridge_solve(
-    g: &Graph,
-    d: &BridgeDecomposition,
-    arch: Arch,
-    seed: u64,
     opts: &SolveOpts,
     counters: Counters,
     decompose_time: Duration,
@@ -217,7 +164,6 @@ fn color_bridge_solve(
             &mut scratch,
         );
     }
-    let _ = seed;
     // Only bridge edges can conflict.
     {
         let _span = counters.phase("cross-solve");
@@ -249,57 +195,10 @@ fn color_bridge_solve(
 ///
 /// Color the induced partition subgraphs with an identical palette, then
 /// recolor the endpoints that conflict across cross edges.
-pub fn color_rand(g: &Graph, partitions: usize, arch: Arch, seed: u64) -> ColoringRun {
-    color_rand_traced(g, partitions, arch, seed, None)
-}
-
-/// [`color_rand`] reporting into `trace` when given.
-pub fn color_rand_traced(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> ColoringRun {
-    color_rand_opts(g, partitions, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`color_rand`] with full per-run options.
-pub fn color_rand_opts(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_rand(g, partitions, seed, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    color_rand_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`color_rand`] against a precomputed decomposition. `d` must come from
-/// `decompose_rand(g, partitions, seed, …)` with this same `seed`.
-pub fn color_rand_with(
+pub(crate) fn color_rand_solve(
     g: &Graph,
     d: &RandDecomposition,
     arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    color_rand_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn color_rand_solve(
-    g: &Graph,
-    d: &RandDecomposition,
-    arch: Arch,
-    _seed: u64,
     opts: &SolveOpts,
     counters: Counters,
     decompose_time: Duration,
@@ -353,55 +252,9 @@ fn color_rand_solve(
 /// Color `G_H` with the baseline; the cross edges cannot conflict because
 /// `G_L` is then colored with a fresh palette of `k + 1` colors above
 /// `max(C_H)` using a `(k+1)`-entry FORBIDDEN window (degree ≤ k inside
-/// `G_L` guarantees the palette suffices).
-pub fn color_degk(g: &Graph, k: usize, arch: Arch, seed: u64) -> ColoringRun {
-    color_degk_traced(g, k, arch, seed, None)
-}
-
-/// [`color_degk`] reporting into `trace` when given.
-pub fn color_degk_traced(
-    g: &Graph,
-    k: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> ColoringRun {
-    color_degk_opts(g, k, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`color_degk`] with full per-run options.
-pub fn color_degk_opts(
-    g: &Graph,
-    k: usize,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_degk(g, k, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    let _ = seed;
-    color_degk_solve(g, &d, arch, opts, counters, decompose_time)
-}
-
-/// [`color_degk`] against a precomputed decomposition. The decomposition
-/// carries its own `k` (palette window `d.k + 1` on the low side).
-pub fn color_degk_with(
-    g: &Graph,
-    d: &DegkDecomposition,
-    arch: Arch,
-    _seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    color_degk_solve(g, d, arch, opts, counters, Duration::ZERO)
-}
-
-fn color_degk_solve(
+/// `G_L` guarantees the palette suffices). The decomposition carries its
+/// own `k`.
+pub(crate) fn color_degk_solve(
     g: &Graph,
     d: &DegkDecomposition,
     arch: Arch,
@@ -476,46 +329,7 @@ fn color_degk_solve(
 /// disconnected and share one palette; no conflicts are possible across
 /// blocks. Phase 2 colors the (few) articulation vertices against their
 /// already-colored neighborhoods.
-pub fn color_bicc(g: &Graph, arch: Arch, seed: u64) -> ColoringRun {
-    color_bicc_traced(g, arch, seed, None)
-}
-
-/// [`color_bicc`] reporting into `trace` when given.
-pub fn color_bicc_traced(
-    g: &Graph,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> ColoringRun {
-    color_bicc_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`color_bicc`] with full per-run options.
-pub fn color_bicc_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bicc(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    let _ = seed;
-    color_bicc_solve(g, &d, arch, opts, counters, decompose_time)
-}
-
-/// [`color_bicc`] against a precomputed decomposition.
-pub fn color_bicc_with(
-    g: &Graph,
-    d: &BiccDecomposition,
-    arch: Arch,
-    _seed: u64,
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
-    color_bicc_solve(g, d, arch, opts, counters, Duration::ZERO)
-}
-
-fn color_bicc_solve(
+pub(crate) fn color_bicc_solve(
     g: &Graph,
     d: &BiccDecomposition,
     arch: Arch,
@@ -577,8 +391,9 @@ fn color_bicc_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coloring::{vertex_coloring, ColorAlgorithm};
+    use crate::coloring::vertex_coloring_opts;
     use crate::verify::check_coloring;
+    use crate::Algo;
     use sb_graph::builder::from_edge_list;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
@@ -598,16 +413,16 @@ mod tests {
             from_edge_list(50, &(0..49u32).map(|i| (i, i + 1)).collect::<Vec<_>>()),
         ];
         let algos = [
-            ColorAlgorithm::Baseline,
-            ColorAlgorithm::Bridge,
-            ColorAlgorithm::Rand { partitions: 3 },
-            ColorAlgorithm::Degk { k: 2 },
-            ColorAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ];
         for (gi, g) in graphs.iter().enumerate() {
             for algo in algos {
                 for arch in [Arch::Cpu, Arch::GpuSim] {
-                    let run = vertex_coloring(g, algo, arch, 11);
+                    let run = vertex_coloring_opts(g, algo, arch, 11, &SolveOpts::default());
                     check_coloring(g, &run.color)
                         .unwrap_or_else(|e| panic!("graph {gi}, {algo:?} on {arch}: {e}"));
                 }
@@ -628,7 +443,8 @@ mod tests {
             edges.push((b + 1, b + 2));
         }
         let g = from_edge_list(61, &edges);
-        let run = color_degk(&g, 2, Arch::Cpu, 5);
+        let run =
+            vertex_coloring_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 5, &SolveOpts::default());
         check_coloring(&g, &run.color).unwrap();
         assert!(
             run.num_colors() <= 5,
@@ -640,14 +456,15 @@ mod tests {
     #[test]
     fn color_counts_stay_close_to_baseline() {
         // §IV-D: decomposition algorithms use only a few percent more colors.
+        let opts = SolveOpts::default();
         let g = random_graph(500, 3000, 3);
-        let base = baseline_run(&g, Arch::Cpu, 1).num_colors();
+        let base = vertex_coloring_opts(&g, Algo::Baseline, Arch::Cpu, 1, &opts).num_colors();
         for algo in [
-            ColorAlgorithm::Bridge,
-            ColorAlgorithm::Rand { partitions: 4 },
-            ColorAlgorithm::Degk { k: 2 },
+            Algo::Bridge,
+            Algo::Rand { partitions: 4 },
+            Algo::Degk { k: 2 },
         ] {
-            let c = vertex_coloring(&g, algo, Arch::Cpu, 1).num_colors();
+            let c = vertex_coloring_opts(&g, algo, Arch::Cpu, 1, &opts).num_colors();
             assert!(
                 c <= base + base / 2 + 3,
                 "{algo:?} used {c} colors vs baseline {base}"
@@ -661,7 +478,7 @@ mod tests {
         // colored in the conflict-fix phase.
         let g = from_edge_list(15, &(0..14u32).map(|i| (i / 2, i + 1)).collect::<Vec<_>>());
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let run = color_bridge(&g, arch, 2);
+            let run = vertex_coloring_opts(&g, Algo::Bridge, arch, 2, &SolveOpts::default());
             check_coloring(&g, &run.color).unwrap();
         }
     }
@@ -670,7 +487,13 @@ mod tests {
     fn rand_partitions_sweep() {
         let g = random_graph(300, 1500, 4);
         for k in [1, 2, 4, 8] {
-            let run = color_rand(&g, k, Arch::Cpu, 6);
+            let run = vertex_coloring_opts(
+                &g,
+                Algo::Rand { partitions: k },
+                Arch::Cpu,
+                6,
+                &SolveOpts::default(),
+            );
             check_coloring(&g, &run.color).unwrap();
         }
     }
@@ -680,7 +503,8 @@ mod tests {
         let g = random_graph(300, 900, 5);
         for k in [1, 2, 3, 8] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = color_degk(&g, k, arch, 7);
+                let run =
+                    vertex_coloring_opts(&g, Algo::Degk { k }, arch, 7, &SolveOpts::default());
                 check_coloring(&g, &run.color).unwrap_or_else(|e| panic!("k={k} {arch}: {e}"));
             }
         }

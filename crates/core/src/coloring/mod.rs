@@ -17,31 +17,8 @@ pub mod jp;
 pub mod vb;
 
 use crate::common::{Arch, RunStats, SolveOpts};
+use crate::{Algo, Solution, Solver};
 use sb_graph::csr::Graph;
-
-/// Which coloring algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColorAlgorithm {
-    /// The architecture's baseline: VB on CPU, EB on GPU-sim.
-    Baseline,
-    /// COLOR-Bridge (Algorithm 7).
-    Bridge,
-    /// COLOR-Rand (Algorithm 8) with the given partition count.
-    Rand {
-        /// Number of RAND partitions.
-        partitions: usize,
-    },
-    /// COLOR-Degk (Algorithm 9) with the given degree threshold.
-    Degk {
-        /// Degree threshold (paper: 2 → FORBIDDEN window of 3).
-        k: usize,
-    },
-    /// COLOR-Bicc (extension): color the block interiors with a shared
-    /// palette (they are pairwise disconnected once the articulation
-    /// vertices are removed), then color the articulation vertices.
-    /// Not part of the paper's evaluated set.
-    Bicc,
-}
 
 /// Result of a coloring run.
 #[derive(Debug, Clone)]
@@ -59,42 +36,19 @@ impl ColoringRun {
     }
 }
 
-/// Run a vertex-coloring algorithm on `g`.
-pub fn vertex_coloring(g: &Graph, algo: ColorAlgorithm, arch: Arch, seed: u64) -> ColoringRun {
-    vertex_coloring_traced(g, algo, arch, seed, None)
-}
-
-/// [`vertex_coloring`] reporting phase spans and round records into `trace`
-/// when given (see `sb_trace`). Passing `None` — or a disabled sink — is
-/// identical to the untraced entry point.
-pub fn vertex_coloring_traced(
-    g: &Graph,
-    algo: ColorAlgorithm,
-    arch: Arch,
-    seed: u64,
-    trace: Option<std::sync::Arc<sb_trace::TraceSink>>,
-) -> ColoringRun {
-    vertex_coloring_opts(g, algo, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`vertex_coloring`] with full per-run options: trace sink and frontier
-/// mode (dense full-sweep rounds vs compacted worklists — see
-/// [`crate::common::FrontierMode`]).
+/// Run a vertex-coloring algorithm on `g` — [`crate::solve`] for
+/// [`crate::Solver::Color`], decomposing inline. `opts` carries the trace
+/// sink and the frontier mode (see [`crate::common::FrontierMode`]).
 pub fn vertex_coloring_opts(
     g: &Graph,
-    algo: ColorAlgorithm,
+    algo: Algo,
     arch: Arch,
     seed: u64,
     opts: &SolveOpts,
 ) -> ColoringRun {
-    match algo {
-        ColorAlgorithm::Baseline => decomp::baseline_run_opts(g, arch, seed, opts),
-        ColorAlgorithm::Bridge => decomp::color_bridge_opts(g, arch, seed, opts),
-        ColorAlgorithm::Rand { partitions } => {
-            decomp::color_rand_opts(g, partitions, arch, seed, opts)
-        }
-        ColorAlgorithm::Degk { k } => decomp::color_degk_opts(g, k, arch, seed, opts),
-        ColorAlgorithm::Bicc => decomp::color_bicc_opts(g, arch, seed, opts),
+    match crate::solve(g, Solver::Color(algo), arch, seed, opts, None) {
+        (Solution::Color(color), stats) => ColoringRun { color, stats },
+        _ => unreachable!("a coloring solver returns a color array"),
     }
 }
 

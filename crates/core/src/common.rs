@@ -30,6 +30,19 @@ impl std::fmt::Display for Arch {
     }
 }
 
+/// The inverse of [`Arch`]'s `Display`: `cpu` or `gpu`.
+impl std::str::FromStr for Arch {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "cpu" => Ok(Arch::Cpu),
+            "gpu" => Ok(Arch::GpuSim),
+            other => Err(format!("unknown arch '{other}' (expected cpu or gpu)")),
+        }
+    }
+}
+
 /// How a solver's synchronous round loop tracks its live set.
 ///
 /// `Dense` is the paper-faithful formulation: every round sweeps the full
@@ -81,7 +94,7 @@ impl std::str::FromStr for FrontierMode {
     }
 }
 
-/// Per-run options shared by the `*_opts` solver entry points.
+/// Per-run options of [`crate::solve`] and the `*_opts` entry points.
 #[derive(Debug, Clone, Default)]
 pub struct SolveOpts {
     /// Trace sink for phase spans and round records (`None` = untraced).
@@ -91,8 +104,8 @@ pub struct SolveOpts {
 }
 
 impl SolveOpts {
-    /// Options for a traced run in the default (compact) mode — what the
-    /// legacy `*_traced` entry points construct.
+    /// Options for a run in the default (compact) mode reporting into
+    /// `trace` when given.
     pub fn traced(trace: Option<Arc<TraceSink>>) -> SolveOpts {
         SolveOpts {
             trace,
@@ -176,14 +189,8 @@ impl RunStats {
 /// Counter block for one run's options: reporting into the options' sink
 /// when tracing was requested, plain otherwise.
 pub(crate) fn counters_for_opts(opts: &SolveOpts) -> Counters {
-    counters_for(opts.trace.clone())
-}
-
-/// Counter block for one run: reporting into `sink` when tracing was
-/// requested, plain otherwise. Shared by every composite's entry points.
-pub(crate) fn counters_for(trace: Option<Arc<TraceSink>>) -> Counters {
-    match trace {
-        Some(sink) => Counters::with_trace(sink),
+    match &opts.trace {
+        Some(sink) => Counters::with_trace(sink.clone()),
         None => Counters::new(),
     }
 }
@@ -196,6 +203,11 @@ mod tests {
     fn arch_display() {
         assert_eq!(Arch::Cpu.to_string(), "cpu");
         assert_eq!(Arch::GpuSim.to_string(), "gpu");
+        for arch in [Arch::Cpu, Arch::GpuSim] {
+            assert_eq!(arch.to_string().parse::<Arch>(), Ok(arch));
+        }
+        let e = "tpu".parse::<Arch>().unwrap_err();
+        assert!(e.contains("unknown arch 'tpu'"), "{e}");
     }
 
     #[test]

@@ -21,14 +21,23 @@
 //! space (see `sb_graph::subgraph`), phase 1 fills part of the solution
 //! array, and phase 2 continues on the rest.
 //!
-//! Use [`verify`] to check any produced solution against an independent
-//! implementation of the problem definition.
+//! [`Algo`] and [`Solver`] name a configuration; [`solve`] is the one
+//! dispatch table from a solver (and optionally a precomputed
+//! [`Decomposition`]) to its composite, and [`decompose`] the one
+//! dispatch from an [`Algo`] to its decomposition. Each problem module
+//! keeps one entry point over it (`maximal_matching_opts`,
+//! `vertex_coloring_opts`, `maximal_independent_set_opts`).
+//!
+//! Use [`verify`] (or [`Solution::verify`]) to check any produced solution
+//! against an independent implementation of the problem definition.
 
 pub mod coloring;
 pub mod common;
 pub mod matching;
 pub mod mis;
 pub mod repair;
+pub mod solver;
 pub mod verify;
 
 pub use common::{Arch, RunStats};
+pub use solver::{decompose, solve, Algo, Decomposition, Solution, Solver};

@@ -1,44 +1,32 @@
 //! Decomposition-based maximal matching (Algorithms 4–6 of the paper).
 //!
-//! Each composite runs the decomposition (timed separately), matches the
-//! decomposition pieces with the architecture's baseline solver, and then
-//! extends the partial matching over the remaining edges. The pieces live
-//! on the parent graph's vertex ids, so one `mate` array flows through all
-//! phases.
+//! Each composite takes a decomposition (computed and timed by
+//! [`crate::solve`]), matches the decomposition pieces with the
+//! architecture's baseline solver, and then extends the partial matching
+//! over the remaining edges. The pieces live on the parent graph's vertex
+//! ids, so one `mate` array flows through all phases.
 
 use super::{base_extend, fresh_mate, MatchingRun};
-use crate::common::{counters_for_opts, Arch, RunStats, SolveOpts};
-use sb_decompose::bicc::{decompose_bicc, BiccDecomposition};
-use sb_decompose::bridge::{decompose_bridge, BridgeDecomposition};
-use sb_decompose::degk::{decompose_degk, DegkDecomposition};
-use sb_decompose::rand_part::{decompose_rand, RandDecomposition};
+use crate::common::{Arch, RunStats, SolveOpts};
+use sb_decompose::bicc::BiccDecomposition;
+use sb_decompose::bridge::BridgeDecomposition;
+use sb_decompose::degk::DegkDecomposition;
+use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::counters::{Counters, Stopwatch};
 use sb_par::frontier::Scratch;
-use sb_trace::TraceSink;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Run the architecture's baseline matcher on the whole graph (no
+/// The architecture's baseline matcher on the whole graph (no
 /// decomposition). This is the comparison bar in Figure 3.
-pub fn baseline_run(g: &Graph, arch: Arch, seed: u64) -> MatchingRun {
-    baseline_run_traced(g, arch, seed, None)
-}
-
-/// [`baseline_run`] reporting into `trace` when given.
-pub fn baseline_run_traced(
+pub(crate) fn baseline_solve(
     g: &Graph,
     arch: Arch,
     seed: u64,
-    trace: Option<Arc<TraceSink>>,
+    opts: &SolveOpts,
+    counters: Counters,
 ) -> MatchingRun {
-    baseline_run_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`baseline_run`] with full per-run options.
-pub fn baseline_run_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MatchingRun {
-    let counters = counters_for_opts(opts);
     let mut scratch = Scratch::new();
     let mut mate = fresh_mate(g.num_vertices());
     let sw = Stopwatch::start();
@@ -68,48 +56,7 @@ pub fn baseline_run_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> 
 ///
 /// Match the 2-edge-connected components `G_c`, then maximally match the
 /// subgraph of `G` induced by the still-unmatched bridge vertices.
-pub fn mm_bridge(g: &Graph, arch: Arch, seed: u64) -> MatchingRun {
-    mm_bridge_traced(g, arch, seed, None)
-}
-
-/// [`mm_bridge`] reporting into `trace` when given.
-pub fn mm_bridge_traced(
-    g: &Graph,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MatchingRun {
-    mm_bridge_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mm_bridge`] with full per-run options.
-pub fn mm_bridge_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bridge(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mm_bridge_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mm_bridge`] against a precomputed decomposition (e.g. from a cache):
-/// the solve phases only, with zero reported decomposition time. The mate
-/// array is byte-identical to [`mm_bridge_opts`] at the same seed — the
-/// solve depends only on `(g, d, arch, seed, frontier)`.
-pub fn mm_bridge_with(
-    g: &Graph,
-    d: &BridgeDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    mm_bridge_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mm_bridge_solve(
+pub(crate) fn mm_bridge_solve(
     g: &Graph,
     d: &BridgeDecomposition,
     arch: Arch,
@@ -170,54 +117,7 @@ fn mm_bridge_solve(
 ///
 /// Match the union of the induced partition subgraphs, then extend over the
 /// cross-edge subgraph `G_{k+1}`.
-pub fn mm_rand(g: &Graph, partitions: usize, arch: Arch, seed: u64) -> MatchingRun {
-    mm_rand_traced(g, partitions, arch, seed, None)
-}
-
-/// [`mm_rand`] reporting into `trace` when given.
-pub fn mm_rand_traced(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MatchingRun {
-    mm_rand_opts(g, partitions, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mm_rand`] with full per-run options.
-pub fn mm_rand_opts(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_rand(g, partitions, seed, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mm_rand_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mm_rand`] against a precomputed decomposition. `d` must come from
-/// `decompose_rand(g, partitions, seed, …)` with this same `seed` for the
-/// output to match [`mm_rand_opts`] byte for byte.
-pub fn mm_rand_with(
-    g: &Graph,
-    d: &RandDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    mm_rand_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mm_rand_solve(
+pub(crate) fn mm_rand_solve(
     g: &Graph,
     d: &RandDecomposition,
     arch: Arch,
@@ -273,46 +173,7 @@ fn mm_rand_solve(
 ///
 /// Match `G_H` first, then extend over `G_L ∪ G_C` restricted to unmatched
 /// vertices.
-pub fn mm_degk(g: &Graph, k: usize, arch: Arch, seed: u64) -> MatchingRun {
-    mm_degk_traced(g, k, arch, seed, None)
-}
-
-/// [`mm_degk`] reporting into `trace` when given.
-pub fn mm_degk_traced(
-    g: &Graph,
-    k: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MatchingRun {
-    mm_degk_opts(g, k, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mm_degk`] with full per-run options.
-pub fn mm_degk_opts(g: &Graph, k: usize, arch: Arch, seed: u64, opts: &SolveOpts) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_degk(g, k, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mm_degk_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mm_degk`] against a precomputed decomposition.
-pub fn mm_degk_with(
-    g: &Graph,
-    d: &DegkDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    mm_degk_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mm_degk_solve(
+pub(crate) fn mm_degk_solve(
     g: &Graph,
     d: &DegkDecomposition,
     arch: Arch,
@@ -370,45 +231,7 @@ fn mm_degk_solve(
 /// of its blocks, which are pairwise disconnected — a maximal matching of
 /// that remainder is found in one parallel solve, then extended over the
 /// articulation vertices and their edges.
-pub fn mm_bicc(g: &Graph, arch: Arch, seed: u64) -> MatchingRun {
-    mm_bicc_traced(g, arch, seed, None)
-}
-
-/// [`mm_bicc`] reporting into `trace` when given.
-pub fn mm_bicc_traced(
-    g: &Graph,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MatchingRun {
-    mm_bicc_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mm_bicc`] with full per-run options.
-pub fn mm_bicc_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bicc(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mm_bicc_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mm_bicc`] against a precomputed decomposition.
-pub fn mm_bicc_with(
-    g: &Graph,
-    d: &BiccDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
-    mm_bicc_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mm_bicc_solve(
+pub(crate) fn mm_bicc_solve(
     g: &Graph,
     d: &BiccDecomposition,
     arch: Arch,
@@ -463,8 +286,9 @@ fn mm_bicc_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::{maximal_matching, MmAlgorithm};
+    use crate::matching::maximal_matching_opts;
     use crate::verify::check_maximal_matching;
+    use crate::Algo;
     use sb_graph::builder::from_edge_list;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
@@ -484,16 +308,16 @@ mod tests {
             from_edge_list(64, &(0..63u32).map(|i| (i, i + 1)).collect::<Vec<_>>()),
         ];
         let algos = [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Bridge,
-            MmAlgorithm::Rand { partitions: 4 },
-            MmAlgorithm::Degk { k: 2 },
-            MmAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 4 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ];
         for (gi, g) in graphs.iter().enumerate() {
             for algo in algos {
                 for arch in [Arch::Cpu, Arch::GpuSim] {
-                    let run = maximal_matching(g, algo, arch, 42);
+                    let run = maximal_matching_opts(g, algo, arch, 42, &SolveOpts::default());
                     check_maximal_matching(g, &run.mate)
                         .unwrap_or_else(|e| panic!("graph {gi}, {algo:?} on {arch}: {e}"));
                 }
@@ -503,11 +327,12 @@ mod tests {
 
     #[test]
     fn decomposition_time_reported_separately() {
+        let opts = SolveOpts::default();
         let g = random_graph(400, 1200, 3);
-        let run = mm_rand(&g, 4, Arch::Cpu, 7);
+        let run = maximal_matching_opts(&g, Algo::Rand { partitions: 4 }, Arch::Cpu, 7, &opts);
         assert!(run.stats.decompose_time > std::time::Duration::ZERO);
         assert!(run.stats.solve_time > std::time::Duration::ZERO);
-        let base = baseline_run(&g, Arch::Cpu, 7);
+        let base = maximal_matching_opts(&g, Algo::Baseline, Arch::Cpu, 7, &opts);
         assert_eq!(base.stats.decompose_time, std::time::Duration::ZERO);
     }
 
@@ -516,7 +341,7 @@ mod tests {
         // A tree is all bridges: phase 1 has nothing to do, phase 2 must
         // still deliver a maximal matching.
         let g = from_edge_list(7, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]);
-        let run = mm_bridge(&g, Arch::Cpu, 1);
+        let run = maximal_matching_opts(&g, Algo::Bridge, Arch::Cpu, 1, &SolveOpts::default());
         check_maximal_matching(&g, &run.mate).unwrap();
         assert!(run.cardinality() >= 2);
     }
@@ -524,7 +349,13 @@ mod tests {
     #[test]
     fn mm_rand_single_partition_degenerates_to_baseline_shape() {
         let g = random_graph(200, 600, 5);
-        let run = mm_rand(&g, 1, Arch::Cpu, 9);
+        let run = maximal_matching_opts(
+            &g,
+            Algo::Rand { partitions: 1 },
+            Arch::Cpu,
+            9,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(&g, &run.mate).unwrap();
     }
 
@@ -532,16 +363,18 @@ mod tests {
     fn mm_degk_various_k() {
         let g = random_graph(300, 1500, 8);
         for k in [0, 1, 2, 4, 16] {
-            let run = mm_degk(&g, k, Arch::Cpu, 3);
+            let run =
+                maximal_matching_opts(&g, Algo::Degk { k }, Arch::Cpu, 3, &SolveOpts::default());
             check_maximal_matching(&g, &run.mate).unwrap_or_else(|e| panic!("k = {k}: {e}"));
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
+        let opts = SolveOpts::default();
         let g = random_graph(250, 800, 10);
-        let a = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, Arch::GpuSim, 77);
-        let b = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, Arch::GpuSim, 77);
+        let a = maximal_matching_opts(&g, Algo::Rand { partitions: 5 }, Arch::GpuSim, 77, &opts);
+        let b = maximal_matching_opts(&g, Algo::Rand { partitions: 5 }, Arch::GpuSim, 77, &opts);
         assert_eq!(a.mate, b.mate);
     }
 }

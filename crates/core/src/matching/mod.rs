@@ -16,34 +16,12 @@ pub mod ii;
 pub mod lmax;
 
 use crate::common::{Arch, FrontierMode, RunStats, SolveOpts};
+use crate::{Algo, Solution, Solver};
 use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
 use sb_par::frontier::Scratch;
-
-/// Which maximal-matching algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmAlgorithm {
-    /// The architecture's baseline: GM on CPU, LMAX on GPU-sim.
-    Baseline,
-    /// MM-Bridge (Algorithm 4).
-    Bridge,
-    /// MM-Rand (Algorithm 5) with the given partition count.
-    Rand {
-        /// Number of RAND partitions (paper: 10 on CPU, 4 on GPU, 100 on kron).
-        partitions: usize,
-    },
-    /// MM-Degk (Algorithm 6) with the given degree threshold.
-    Degk {
-        /// Degree threshold (paper: 2).
-        k: usize,
-    },
-    /// MM-Bicc (extension): the Hochbaum-style block decomposition — match
-    /// the blocks minus their articulation vertices in parallel, then
-    /// extend over the rest. Not part of the paper's evaluated set.
-    Bicc,
-}
 
 /// Result of a matching run: the mate array plus timing/work breakdown.
 #[derive(Debug, Clone)]
@@ -61,43 +39,21 @@ impl MatchingRun {
     }
 }
 
-/// Run a maximal-matching algorithm on `g`.
-///
-/// `seed` drives every random choice (RAND partition, LMAX edge weights),
-/// making runs reproducible independent of thread count.
-pub fn maximal_matching(g: &Graph, algo: MmAlgorithm, arch: Arch, seed: u64) -> MatchingRun {
-    maximal_matching_traced(g, algo, arch, seed, None)
-}
-
-/// [`maximal_matching`] reporting phase spans and round records into
-/// `trace` when given (see `sb_trace`). Passing `None` — or a disabled
-/// sink — is identical to the untraced entry point.
-pub fn maximal_matching_traced(
-    g: &Graph,
-    algo: MmAlgorithm,
-    arch: Arch,
-    seed: u64,
-    trace: Option<std::sync::Arc<sb_trace::TraceSink>>,
-) -> MatchingRun {
-    maximal_matching_opts(g, algo, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`maximal_matching`] with full per-run options: trace sink and frontier
-/// mode (dense full-sweep rounds vs compacted worklists — see
-/// [`crate::common::FrontierMode`]).
+/// Run a maximal-matching algorithm on `g` — [`crate::solve`] for
+/// [`crate::Solver::Mm`], decomposing inline. `seed` drives every random
+/// choice (RAND partition, LMAX edge weights), making runs reproducible
+/// independent of thread count; `opts` carries the trace sink and the
+/// frontier mode (see [`crate::common::FrontierMode`]).
 pub fn maximal_matching_opts(
     g: &Graph,
-    algo: MmAlgorithm,
+    algo: Algo,
     arch: Arch,
     seed: u64,
     opts: &SolveOpts,
 ) -> MatchingRun {
-    match algo {
-        MmAlgorithm::Baseline => decomp::baseline_run_opts(g, arch, seed, opts),
-        MmAlgorithm::Bridge => decomp::mm_bridge_opts(g, arch, seed, opts),
-        MmAlgorithm::Rand { partitions } => decomp::mm_rand_opts(g, partitions, arch, seed, opts),
-        MmAlgorithm::Degk { k } => decomp::mm_degk_opts(g, k, arch, seed, opts),
-        MmAlgorithm::Bicc => decomp::mm_bicc_opts(g, arch, seed, opts),
+    match crate::solve(g, Solver::Mm(algo), arch, seed, opts, None) {
+        (Solution::Mate(mate), stats) => MatchingRun { mate, stats },
+        _ => unreachable!("a matching solver returns a mate array"),
     }
 }
 
@@ -220,7 +176,8 @@ mod tests {
     fn rand_with_suggested_partitions_is_maximal() {
         let g = from_edge_list(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]);
         let k = suggested_partitions(&g);
-        let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: k }, Arch::Cpu, 3);
+        let opts = SolveOpts::default();
+        let run = maximal_matching_opts(&g, Algo::Rand { partitions: k }, Arch::Cpu, 3, &opts);
         crate::verify::check_maximal_matching(&g, &run.mate).unwrap();
     }
 }

@@ -7,22 +7,20 @@ use super::luby::{
 use super::oriented::oriented_mis_extend_opts;
 use super::status::{IN, OUT, UNDECIDED};
 use super::MisRun;
-use crate::common::{counters_for_opts, Arch, FrontierMode, RunStats, SolveOpts};
+use crate::common::{Arch, FrontierMode, RunStats, SolveOpts};
 use crate::matching::materialize_for_gpu;
 use rayon::prelude::*;
-use sb_decompose::bicc::{decompose_bicc, BiccDecomposition};
-use sb_decompose::bridge::{decompose_bridge, BridgeDecomposition};
-use sb_decompose::degk::{decompose_degk, DegkDecomposition};
-use sb_decompose::rand_part::{decompose_rand, RandDecomposition};
+use sb_decompose::bicc::BiccDecomposition;
+use sb_decompose::bridge::BridgeDecomposition;
+use sb_decompose::degk::DegkDecomposition;
+use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::{Graph, VertexId};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u8;
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::{Counters, Stopwatch};
 use sb_par::frontier::Scratch;
-use sb_trace::TraceSink;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Run the architecture's Luby form over the undecided vertices of `g`
@@ -97,7 +95,7 @@ fn exclude_dominated(g: &Graph, status: &mut [u8], counters: &Counters) {
 
 fn finish(
     status: Vec<u8>,
-    decompose_time: std::time::Duration,
+    decompose_time: Duration,
     sw: Stopwatch,
     counters: Counters,
     scratch: &Scratch,
@@ -111,23 +109,13 @@ fn finish(
 }
 
 /// LubyMIS on the whole graph — the Figure 5 baseline.
-pub fn baseline_run(g: &Graph, arch: Arch, seed: u64) -> MisRun {
-    baseline_run_traced(g, arch, seed, None)
-}
-
-/// [`baseline_run`] reporting into `trace` when given.
-pub fn baseline_run_traced(
+pub(crate) fn baseline_solve(
     g: &Graph,
     arch: Arch,
     seed: u64,
-    trace: Option<Arc<TraceSink>>,
+    opts: &SolveOpts,
+    counters: Counters,
 ) -> MisRun {
-    baseline_run_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`baseline_run`] with full per-run options.
-pub fn baseline_run_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MisRun {
-    let counters = counters_for_opts(opts);
     let mut scratch = Scratch::new();
     let mut status = vec![UNDECIDED; g.num_vertices()];
     let sw = Stopwatch::start();
@@ -145,7 +133,7 @@ pub fn baseline_run_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> 
             &mut scratch,
         );
     }
-    finish(status, std::time::Duration::ZERO, sw, counters, &scratch)
+    finish(status, Duration::ZERO, sw, counters, &scratch)
 }
 
 /// Average degree over the non-isolated vertices of a view — the sparsity
@@ -166,46 +154,7 @@ fn busy_avg_degree(g: &Graph, view: EdgeView<'_>) -> f64 {
 ///
 /// Solve `∪ H_i = G_c` minus bridge endpoints and the bridge graph `G_B`,
 /// sparser side first, extending through the full graph in between.
-pub fn mis_bridge(g: &Graph, arch: Arch, seed: u64) -> MisRun {
-    mis_bridge_traced(g, arch, seed, None)
-}
-
-/// [`mis_bridge`] reporting into `trace` when given.
-pub fn mis_bridge_traced(
-    g: &Graph,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MisRun {
-    mis_bridge_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mis_bridge`] with full per-run options.
-pub fn mis_bridge_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MisRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bridge(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mis_bridge_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mis_bridge`] against a precomputed decomposition (solve phases only;
-/// zero reported decomposition time, byte-identical set).
-pub fn mis_bridge_with(
-    g: &Graph,
-    d: &BridgeDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MisRun {
-    let counters = counters_for_opts(opts);
-    mis_bridge_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mis_bridge_solve(
+pub(crate) fn mis_bridge_solve(
     g: &Graph,
     d: &BridgeDecomposition,
     arch: Arch,
@@ -294,53 +243,7 @@ fn mis_bridge_solve(
 ///
 /// Solve `H = ∪ (G_i \ G_{k+1})` (induced subgraphs minus cross-edge
 /// endpoints) and the cross graph, sparser side first.
-pub fn mis_rand(g: &Graph, partitions: usize, arch: Arch, seed: u64) -> MisRun {
-    mis_rand_traced(g, partitions, arch, seed, None)
-}
-
-/// [`mis_rand`] reporting into `trace` when given.
-pub fn mis_rand_traced(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MisRun {
-    mis_rand_opts(g, partitions, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mis_rand`] with full per-run options.
-pub fn mis_rand_opts(
-    g: &Graph,
-    partitions: usize,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MisRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_rand(g, partitions, seed, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mis_rand_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mis_rand`] against a precomputed decomposition. `d` must come from
-/// `decompose_rand(g, partitions, seed, …)` with this same `seed`.
-pub fn mis_rand_with(
-    g: &Graph,
-    d: &RandDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MisRun {
-    let counters = counters_for_opts(opts);
-    mis_rand_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mis_rand_solve(
+pub(crate) fn mis_rand_solve(
     g: &Graph,
     d: &RandDecomposition,
     arch: Arch,
@@ -431,48 +334,8 @@ fn mis_rand_solve(
 ///
 /// Solve the degree-≤k side first — with the deterministic oriented
 /// algorithm when k ≤ 2 (paths and cycles), otherwise with Luby — then
-/// extend through the remainder.
-pub fn mis_degk(g: &Graph, k: usize, arch: Arch, seed: u64) -> MisRun {
-    mis_degk_traced(g, k, arch, seed, None)
-}
-
-/// [`mis_degk`] reporting into `trace` when given.
-pub fn mis_degk_traced(
-    g: &Graph,
-    k: usize,
-    arch: Arch,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> MisRun {
-    mis_degk_opts(g, k, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mis_degk`] with full per-run options.
-pub fn mis_degk_opts(g: &Graph, k: usize, arch: Arch, seed: u64, opts: &SolveOpts) -> MisRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_degk(g, k, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mis_degk_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mis_degk`] against a precomputed decomposition. The decomposition
-/// carries its own `k` (selects oriented vs Luby peeling for the fringe).
-pub fn mis_degk_with(
-    g: &Graph,
-    d: &DegkDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MisRun {
-    let counters = counters_for_opts(opts);
-    mis_degk_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mis_degk_solve(
+/// extend through the remainder. The decomposition carries its own `k`.
+pub(crate) fn mis_degk_solve(
     g: &Graph,
     d: &DegkDecomposition,
     arch: Arch,
@@ -538,40 +401,7 @@ fn mis_degk_solve(
 /// An MIS of the block interiors (the graph minus articulation vertices,
 /// whose pieces are pairwise disconnected), then exclusion through the
 /// full graph and a final solve over what remains.
-pub fn mis_bicc(g: &Graph, arch: Arch, seed: u64) -> MisRun {
-    mis_bicc_traced(g, arch, seed, None)
-}
-
-/// [`mis_bicc`] reporting into `trace` when given.
-pub fn mis_bicc_traced(g: &Graph, arch: Arch, seed: u64, trace: Option<Arc<TraceSink>>) -> MisRun {
-    mis_bicc_opts(g, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`mis_bicc`] with full per-run options.
-pub fn mis_bicc_opts(g: &Graph, arch: Arch, seed: u64, opts: &SolveOpts) -> MisRun {
-    let counters = counters_for_opts(opts);
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        decompose_bicc(g, &counters)
-    };
-    let decompose_time = sw.elapsed();
-    mis_bicc_solve(g, &d, arch, seed, opts, counters, decompose_time)
-}
-
-/// [`mis_bicc`] against a precomputed decomposition.
-pub fn mis_bicc_with(
-    g: &Graph,
-    d: &BiccDecomposition,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> MisRun {
-    let counters = counters_for_opts(opts);
-    mis_bicc_solve(g, d, arch, seed, opts, counters, Duration::ZERO)
-}
-
-fn mis_bicc_solve(
+pub(crate) fn mis_bicc_solve(
     g: &Graph,
     d: &BiccDecomposition,
     arch: Arch,
@@ -620,8 +450,9 @@ fn mis_bicc_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mis::{maximal_independent_set, MisAlgorithm};
+    use crate::mis::maximal_independent_set_opts;
     use crate::verify::check_maximal_independent_set;
+    use crate::Algo;
     use sb_graph::builder::from_edge_list;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
@@ -641,16 +472,17 @@ mod tests {
             from_edge_list(80, &(0..79u32).map(|i| (i, i + 1)).collect::<Vec<_>>()),
         ];
         let algos = [
-            MisAlgorithm::Baseline,
-            MisAlgorithm::Bridge,
-            MisAlgorithm::Rand { partitions: 4 },
-            MisAlgorithm::Degk { k: 2 },
-            MisAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 4 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ];
         for (gi, g) in graphs.iter().enumerate() {
             for algo in algos {
                 for arch in [Arch::Cpu, Arch::GpuSim] {
-                    let run = maximal_independent_set(g, algo, arch, 23);
+                    let run =
+                        maximal_independent_set_opts(g, algo, arch, 23, &SolveOpts::default());
                     check_maximal_independent_set(g, &run.in_set)
                         .unwrap_or_else(|e| panic!("graph {gi}, {algo:?} on {arch}: {e}"));
                 }
@@ -670,7 +502,13 @@ mod tests {
             edges.push((b + 2, b + 3));
         }
         let g = from_edge_list(121, &edges);
-        let run = mis_degk(&g, 2, Arch::Cpu, 3);
+        let run = maximal_independent_set_opts(
+            &g,
+            Algo::Degk { k: 2 },
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        );
         check_maximal_independent_set(&g, &run.in_set).unwrap();
         // Chains alone guarantee a large independent set.
         assert!(run.size() >= 60);
@@ -679,20 +517,27 @@ mod tests {
     #[test]
     fn degk_with_large_k_falls_back_to_luby() {
         let g = random_graph(200, 800, 5);
-        let run = mis_degk(&g, 8, Arch::Cpu, 7);
+        let run = maximal_independent_set_opts(
+            &g,
+            Algo::Degk { k: 8 },
+            Arch::Cpu,
+            7,
+            &SolveOpts::default(),
+        );
         check_maximal_independent_set(&g, &run.in_set).unwrap();
     }
 
     #[test]
     fn bridge_on_tree_and_on_cycle() {
+        let opts = SolveOpts::default();
         let tree = from_edge_list(15, &(0..14u32).map(|i| (i / 2, i + 1)).collect::<Vec<_>>());
-        let run = mis_bridge(&tree, Arch::Cpu, 1);
+        let run = maximal_independent_set_opts(&tree, Algo::Bridge, Arch::Cpu, 1, &opts);
         check_maximal_independent_set(&tree, &run.in_set).unwrap();
 
         let mut edges: Vec<(u32, u32)> = (0..19).map(|i| (i, i + 1)).collect();
         edges.push((19, 0));
         let cyc = from_edge_list(20, &edges);
-        let run = mis_bridge(&cyc, Arch::GpuSim, 2);
+        let run = maximal_independent_set_opts(&cyc, Algo::Bridge, Arch::GpuSim, 2, &opts);
         check_maximal_independent_set(&cyc, &run.in_set).unwrap();
     }
 
@@ -700,7 +545,13 @@ mod tests {
     fn rand_partition_sweep() {
         let g = random_graph(300, 1200, 9);
         for k in [1, 2, 5, 10] {
-            let run = mis_rand(&g, k, Arch::Cpu, 11);
+            let run = maximal_independent_set_opts(
+                &g,
+                Algo::Rand { partitions: k },
+                Arch::Cpu,
+                11,
+                &SolveOpts::default(),
+            );
             check_maximal_independent_set(&g, &run.in_set)
                 .unwrap_or_else(|e| panic!("k = {k}: {e}"));
         }
@@ -708,16 +559,23 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let opts = SolveOpts::default();
         let g = random_graph(250, 750, 12);
-        let a = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, 5);
-        let b = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, 5);
+        let a = maximal_independent_set_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 5, &opts);
+        let b = maximal_independent_set_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 5, &opts);
         assert_eq!(a.in_set, b.in_set);
     }
 
     #[test]
     fn stats_breakdown_present() {
         let g = random_graph(300, 900, 13);
-        let run = mis_degk(&g, 2, Arch::Cpu, 3);
+        let run = maximal_independent_set_opts(
+            &g,
+            Algo::Degk { k: 2 },
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        );
         assert!(run.stats.decompose_time > std::time::Duration::ZERO);
         assert!(run.stats.counters.rounds > 0);
     }

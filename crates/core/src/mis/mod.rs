@@ -20,6 +20,7 @@ pub mod luby;
 pub mod oriented;
 
 use crate::common::{Arch, RunStats, SolveOpts};
+use crate::{Algo, Solution, Solver};
 use sb_graph::csr::Graph;
 
 /// Shared live-set scan for the MIS solvers: the undecided vertices passing
@@ -42,30 +43,6 @@ pub mod status {
     pub const OUT: u8 = 2;
 }
 
-/// Which MIS algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MisAlgorithm {
-    /// LubyMIS on the whole graph (the paper's baseline on both archs).
-    Baseline,
-    /// MIS-Bridge (Algorithm 10).
-    Bridge,
-    /// MIS-Rand (Algorithm 11) with the given partition count.
-    Rand {
-        /// Number of RAND partitions.
-        partitions: usize,
-    },
-    /// MIS-Degk (Algorithm 12; the paper uses k = 2). For k ≤ 2 the low
-    /// subgraph is solved with the oriented bounded-degree algorithm,
-    /// otherwise with Luby.
-    Degk {
-        /// Degree threshold.
-        k: usize,
-    },
-    /// MIS-Bicc (extension): solve the block interiors (non-articulation
-    /// vertices) first, then extend. Not part of the paper's evaluated set.
-    Bicc,
-}
-
 /// Result of an MIS run.
 #[derive(Debug, Clone)]
 pub struct MisRun {
@@ -82,39 +59,18 @@ impl MisRun {
     }
 }
 
-/// Run an MIS algorithm on `g`.
-pub fn maximal_independent_set(g: &Graph, algo: MisAlgorithm, arch: Arch, seed: u64) -> MisRun {
-    maximal_independent_set_traced(g, algo, arch, seed, None)
-}
-
-/// [`maximal_independent_set`] reporting phase spans and round records into
-/// `trace` when given (see `sb_trace`). Passing `None` — or a disabled sink
-/// — is identical to the untraced entry point.
-pub fn maximal_independent_set_traced(
-    g: &Graph,
-    algo: MisAlgorithm,
-    arch: Arch,
-    seed: u64,
-    trace: Option<std::sync::Arc<sb_trace::TraceSink>>,
-) -> MisRun {
-    maximal_independent_set_opts(g, algo, arch, seed, &SolveOpts::traced(trace))
-}
-
-/// [`maximal_independent_set`] with full per-run options: trace sink and
-/// frontier mode (dense full-sweep rounds vs compacted worklists — see
-/// [`crate::common::FrontierMode`]).
+/// Run an MIS algorithm on `g` — [`crate::solve`] for
+/// [`crate::Solver::Mis`], decomposing inline. `opts` carries the trace
+/// sink and the frontier mode (see [`crate::common::FrontierMode`]).
 pub fn maximal_independent_set_opts(
     g: &Graph,
-    algo: MisAlgorithm,
+    algo: Algo,
     arch: Arch,
     seed: u64,
     opts: &SolveOpts,
 ) -> MisRun {
-    match algo {
-        MisAlgorithm::Baseline => decomp::baseline_run_opts(g, arch, seed, opts),
-        MisAlgorithm::Bridge => decomp::mis_bridge_opts(g, arch, seed, opts),
-        MisAlgorithm::Rand { partitions } => decomp::mis_rand_opts(g, partitions, arch, seed, opts),
-        MisAlgorithm::Degk { k } => decomp::mis_degk_opts(g, k, arch, seed, opts),
-        MisAlgorithm::Bicc => decomp::mis_bicc_opts(g, arch, seed, opts),
+    match crate::solve(g, Solver::Mis(algo), arch, seed, opts, None) {
+        (Solution::Set(in_set), stats) => MisRun { in_set, stats },
+        _ => unreachable!("an MIS solver returns a membership array"),
     }
 }

@@ -245,11 +245,12 @@ mod tests {
 
     #[test]
     fn matching_repair_valid_and_maximal() {
+        let opts = SolveOpts::default();
         let g = base_graph();
-        let prior = matching::maximal_matching(&g, matching::MmAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = matching::maximal_matching_opts(&g, crate::Algo::Baseline, Arch::Cpu, 3, &opts);
         check_maximal_matching(&g, &prior.mate).unwrap();
         let log = edit_script();
-        let repaired = repair_matching(&g, &log, &prior.mate, &SolveOpts::default());
+        let repaired = repair_matching(&g, &log, &prior.mate, &opts);
         let edited = log.materialize(&g);
         check_maximal_matching(&edited, &repaired.mate).unwrap();
         assert!(matching_cardinality(&repaired.mate) >= 1);
@@ -257,22 +258,25 @@ mod tests {
 
     #[test]
     fn mis_repair_valid_and_maximal() {
+        let opts = SolveOpts::default();
         let g = base_graph();
-        let prior = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior =
+            mis::maximal_independent_set_opts(&g, crate::Algo::Baseline, Arch::Cpu, 3, &opts);
         check_maximal_independent_set(&g, &prior.in_set).unwrap();
         let log = edit_script();
-        let repaired = repair_mis(&g, &log, &prior.in_set, &SolveOpts::default());
+        let repaired = repair_mis(&g, &log, &prior.in_set, &opts);
         let edited = log.materialize(&g);
         check_maximal_independent_set(&edited, &repaired.in_set).unwrap();
     }
 
     #[test]
     fn coloring_repair_proper() {
+        let opts = SolveOpts::default();
         let g = base_graph();
-        let prior = coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = coloring::vertex_coloring_opts(&g, crate::Algo::Baseline, Arch::Cpu, 3, &opts);
         check_coloring(&g, &prior.color).unwrap();
         let log = edit_script();
-        let repaired = repair_coloring(&g, &log, &prior.color, &SolveOpts::default());
+        let repaired = repair_coloring(&g, &log, &prior.color, &opts);
         let edited = log.materialize(&g);
         check_coloring(&edited, &repaired.color).unwrap();
         assert!(repaired.color.iter().all(|&c| c != INVALID));
@@ -280,36 +284,30 @@ mod tests {
 
     #[test]
     fn empty_log_is_identity() {
+        let opts = SolveOpts::default();
         let g = base_graph();
         let log = EditLog::new();
-        let pm = matching::maximal_matching(&g, matching::MmAlgorithm::Baseline, Arch::Cpu, 1);
-        assert_eq!(
-            repair_matching(&g, &log, &pm.mate, &SolveOpts::default()).mate,
-            pm.mate
-        );
-        let ps = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 1);
-        assert_eq!(
-            repair_mis(&g, &log, &ps.in_set, &SolveOpts::default()).in_set,
-            ps.in_set
-        );
-        let pc = coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 1);
-        assert_eq!(
-            repair_coloring(&g, &log, &pc.color, &SolveOpts::default()).color,
-            pc.color
-        );
+        let pm = matching::maximal_matching_opts(&g, crate::Algo::Baseline, Arch::Cpu, 1, &opts);
+        assert_eq!(repair_matching(&g, &log, &pm.mate, &opts).mate, pm.mate);
+        let ps = mis::maximal_independent_set_opts(&g, crate::Algo::Baseline, Arch::Cpu, 1, &opts);
+        assert_eq!(repair_mis(&g, &log, &ps.in_set, &opts).in_set, ps.in_set);
+        let pc = coloring::vertex_coloring_opts(&g, crate::Algo::Baseline, Arch::Cpu, 1, &opts);
+        assert_eq!(repair_coloring(&g, &log, &pc.color, &opts).color, pc.color);
     }
 
     #[test]
     fn repair_counts_work_against_edit_batch() {
         // The whole point: repairing one edit on a big path touches a
         // handful of vertices, not O(n).
+        let opts = SolveOpts::default();
         let n = 10_000u32;
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g = from_edge_list(n as usize, &edges);
-        let prior = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 5);
+        let prior =
+            mis::maximal_independent_set_opts(&g, crate::Algo::Baseline, Arch::Cpu, 5, &opts);
         let mut log = EditLog::new();
         log.add_edge(0, 2);
-        let repaired = repair_mis(&g, &log, &prior.in_set, &SolveOpts::default());
+        let repaired = repair_mis(&g, &log, &prior.in_set, &opts);
         let edited = log.materialize(&g);
         check_maximal_independent_set(&edited, &repaired.in_set).unwrap();
         assert!(

@@ -8,15 +8,13 @@
 //! running detached until its solve returns; its results are discarded.)
 
 use crate::cache::DEFAULT_TENANT;
-use crate::engine::{
-    compute_decomposition, graph_approx_bytes, run_solver, CachedDecomposition, DecompKey,
-    DecompSpec, Engine, GraphSource, Solution,
-};
+use crate::engine::{decompose_timed, graph_approx_bytes, DecompKey, Engine, GraphSource};
 use crate::fingerprint::fingerprint_graph;
 use crate::jobs::JobSpec;
 use crate::report::BatchReport;
 use crate::session::CancelToken;
 use sb_core::common::{RunStats, SolveOpts};
+use sb_core::{Algo, Decomposition, Solution};
 use sb_graph::csr::Graph;
 use sb_par::counters::Stopwatch;
 use sb_par::exec::with_threads;
@@ -101,7 +99,7 @@ pub(crate) struct WorkerDone {
     graph: Arc<Graph>,
     fingerprint: u64,
     loaded_graph: bool,
-    decomp: Option<Arc<CachedDecomposition>>,
+    decomp: Option<Arc<Decomposition>>,
     computed_decomp: bool,
 }
 
@@ -110,7 +108,7 @@ pub(crate) struct WorkerDone {
 /// worker computes.
 pub(crate) struct JobProbe {
     cached_graph: Option<(Arc<Graph>, u64)>,
-    cached_decomp: Option<Arc<CachedDecomposition>>,
+    cached_decomp: Option<Arc<Decomposition>>,
     fingerprint_seed: u64,
 }
 
@@ -134,11 +132,11 @@ impl EngineAccess for Engine {
 impl Engine {
     /// Probe both caches for `job`'s inputs, refreshing recency and
     /// hit/miss statistics. Cheap: two map lookups and two `Arc` clones.
-    pub(crate) fn probe_job(&mut self, src_key: &String, spec: DecompSpec, seed: u64) -> JobProbe {
+    pub(crate) fn probe_job(&mut self, src_key: &String, algo: Algo, seed: u64) -> JobProbe {
         let cached_graph = self.graphs.get(src_key).cloned();
         let cached_decomp = match &cached_graph {
-            Some((_, fp)) if spec != DecompSpec::None => {
-                self.decomps.get(&DecompKey::new(*fp, spec, seed)).cloned()
+            Some((_, fp)) if algo != Algo::Baseline => {
+                self.decomps.get(&DecompKey::new(*fp, algo, seed)).cloned()
             }
             _ => None,
         };
@@ -156,7 +154,7 @@ impl Engine {
         &mut self,
         tenant: &str,
         src_key: &str,
-        spec: DecompSpec,
+        algo: Algo,
         seed: u64,
         done: &WorkerDone,
     ) {
@@ -174,7 +172,7 @@ impl Engine {
                 let bytes = d.approx_bytes();
                 self.decomps.insert_weighted_for(
                     tenant,
-                    DecompKey::new(done.fingerprint, spec, seed),
+                    DecompKey::new(done.fingerprint, algo, seed),
                     d.clone(),
                     bytes,
                 );
@@ -241,7 +239,6 @@ pub(crate) enum WaitVerdict {
 pub(crate) fn spawn_worker(
     src: GraphSource,
     probe: JobProbe,
-    spec: DecompSpec,
     job: JobSpec,
     opts: SolveOpts,
 ) -> mpsc::Receiver<Result<WorkerDone, String>> {
@@ -262,25 +259,26 @@ pub(crate) fn spawn_worker(
                 }
             };
             let work = || {
-                let (decomp, computed_decomp, decompose_time) = if spec == DecompSpec::None {
+                let algo = job.solver.algo();
+                let (decomp, computed_decomp, decompose_time) = if algo == Algo::Baseline {
                     (None, false, Duration::ZERO)
                 } else {
                     match cached_decomp {
                         Some(d) => (Some(d), false, Duration::ZERO),
                         None => {
                             let (d, dt) =
-                                compute_decomposition(&graph, spec, job.seed, opts.trace.clone());
+                                decompose_timed(&graph, algo, job.seed, opts.trace.clone());
                             (Some(Arc::new(d)), true, dt)
                         }
                     }
                 };
-                let (solution, mut stats) = run_solver(
+                let (solution, mut stats) = sb_core::solve(
                     &graph,
                     job.solver,
-                    decomp.as_deref(),
                     job.arch,
                     job.seed,
                     &opts,
+                    decomp.as_deref(),
                 );
                 stats.decompose_time = decompose_time;
                 (decomp, computed_decomp, solution, stats)
@@ -372,7 +370,7 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
     deadline: Option<Duration>,
 ) -> JobRecord {
     let sw = Stopwatch::start();
-    let config = format!("{}@{}/{}", job.solver.label(), job.arch, job.frontier);
+    let config = format!("{}@{}/{}", job.solver, job.arch, job.frontier);
     let mut record = JobRecord {
         label: job.label.clone(),
         graph: job.graph.clone(),
@@ -407,10 +405,10 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
     };
     let src_key = src.key();
     record.graph = src_key.clone();
-    let spec = job.solver.decomp_spec();
-    let probe = access.with_engine(|e| e.probe_job(&src_key, spec, job.seed));
+    let algo = job.solver.algo();
+    let probe = access.with_engine(|e| e.probe_job(&src_key, algo, job.seed));
     record.graph_cached = probe.cached_graph.is_some();
-    if spec != DecompSpec::None {
+    if algo != Algo::Baseline {
         record.decomp_cached = Some(probe.cached_decomp.is_some());
     }
 
@@ -424,7 +422,7 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
-    let rx = spawn_worker(src, probe, spec, job.clone(), opts);
+    let rx = spawn_worker(src, probe, job.clone(), opts);
     match wait_for_worker(&rx, budget_ms.map(Duration::from_millis), cancel) {
         WaitVerdict::Finished(done) => match *done {
             Ok(done) => {
@@ -435,7 +433,7 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
                         // Clean finish: only now may the caches learn
                         // anything from this job.
                         access
-                            .with_engine(|e| e.commit_job(tenant, &src_key, spec, job.seed, &done));
+                            .with_engine(|e| e.commit_job(tenant, &src_key, algo, job.seed, &done));
                         record.detail = done.solution.summary();
                         record.solution = Some(done.solution);
                     }

@@ -24,11 +24,8 @@
 //! Unknown keys and sections are hard errors with `file:line:` positions,
 //! so a typo fails the batch instead of silently running defaults.
 
-use crate::engine::Solver;
-use sb_core::coloring::ColorAlgorithm;
 use sb_core::common::{Arch, FrontierMode};
-use sb_core::matching::MmAlgorithm;
-use sb_core::mis::MisAlgorithm;
+use sb_core::Solver;
 use std::collections::HashMap;
 
 /// One fully-resolved job: everything the engine needs to run it.
@@ -64,73 +61,10 @@ impl JobSpec {
     }
 }
 
-/// Parse `problem` + `algo` strings (sbreak conventions: `rand` defaults to
-/// 10 partitions for mm/mis and 2 for color; `degk` defaults to k = 2).
+/// Parse `problem` + `algo` strings — [`Solver::parse`], kept under the
+/// name batch callers know.
 pub fn parse_solver(problem: &str, algo: &str) -> Result<Solver, String> {
-    let (name, param) = match algo.split_once(':') {
-        Some((n, p)) => {
-            let v: usize = p
-                .parse()
-                .map_err(|_| format!("bad parameter in algo '{algo}'"))?;
-            if v == 0 {
-                return Err(format!("algo '{algo}' parameter must be positive"));
-            }
-            (n, Some(v))
-        }
-        None => (algo, None),
-    };
-    let bad_algo = || {
-        format!("unknown algo '{algo}' (expected baseline, bridge, rand[:P], degk[:K], or bicc)")
-    };
-    match problem {
-        "mm" => Ok(Solver::Mm(match name {
-            "baseline" => MmAlgorithm::Baseline,
-            "bridge" => MmAlgorithm::Bridge,
-            "rand" => MmAlgorithm::Rand {
-                partitions: param.unwrap_or(10),
-            },
-            "degk" => MmAlgorithm::Degk {
-                k: param.unwrap_or(2),
-            },
-            "bicc" => MmAlgorithm::Bicc,
-            _ => return Err(bad_algo()),
-        })),
-        "color" => Ok(Solver::Color(match name {
-            "baseline" => ColorAlgorithm::Baseline,
-            "bridge" => ColorAlgorithm::Bridge,
-            "rand" => ColorAlgorithm::Rand {
-                partitions: param.unwrap_or(2),
-            },
-            "degk" => ColorAlgorithm::Degk {
-                k: param.unwrap_or(2),
-            },
-            "bicc" => ColorAlgorithm::Bicc,
-            _ => return Err(bad_algo()),
-        })),
-        "mis" => Ok(Solver::Mis(match name {
-            "baseline" => MisAlgorithm::Baseline,
-            "bridge" => MisAlgorithm::Bridge,
-            "rand" => MisAlgorithm::Rand {
-                partitions: param.unwrap_or(10),
-            },
-            "degk" => MisAlgorithm::Degk {
-                k: param.unwrap_or(2),
-            },
-            "bicc" => MisAlgorithm::Bicc,
-            _ => return Err(bad_algo()),
-        })),
-        _ => Err(format!(
-            "unknown problem '{problem}' (expected mm, color, or mis)"
-        )),
-    }
-}
-
-pub(crate) fn parse_arch(s: &str) -> Result<Arch, String> {
-    match s {
-        "cpu" => Ok(Arch::Cpu),
-        "gpu" | "gpu-sim" | "gpusim" => Ok(Arch::GpuSim),
-        _ => Err(format!("unknown arch '{s}' (expected cpu or gpu)")),
-    }
+    Solver::parse(problem, algo)
 }
 
 /// Strip a `#` comment, ignoring `#` inside double-quoted strings.
@@ -310,7 +244,7 @@ pub fn parse_jobs(text: &str, file: &str) -> Result<Vec<JobSpec>, String> {
         let algo = required("algo")?;
         let solver = parse_solver(problem, algo).map_err(|m| err("algo", m))?;
         let arch = lookup("arch")
-            .map(|v| parse_arch(v).map_err(|m| err("arch", m)))
+            .map(|v| v.parse::<Arch>().map_err(|m| err("arch", m)))
             .transpose()?
             .unwrap_or(Arch::Cpu);
         let frontier = lookup("frontier")
@@ -366,6 +300,7 @@ pub fn parse_jobs(text: &str, file: &str) -> Result<Vec<JobSpec>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_core::Algo;
 
     const GOOD: &str = r#"
 # A reproduction batch.
@@ -397,16 +332,13 @@ timeout_ms = 5000
         assert_eq!(jobs[0].graph, "gen:lp1");
         assert_eq!(jobs[0].scale, 0.2);
         assert_eq!(jobs[0].seed, 7);
-        assert_eq!(
-            jobs[0].solver,
-            Solver::Mm(MmAlgorithm::Rand { partitions: 10 })
-        );
+        assert_eq!(jobs[0].solver, Solver::Mm(Algo::Rand { partitions: 10 }));
         assert_eq!(jobs[0].arch, Arch::Cpu);
         assert_eq!(jobs[0].frontier, FrontierMode::Compact);
         assert_eq!(jobs[0].effective_graph_seed(), 7);
 
         assert_eq!(jobs[1].label, "color-degk");
-        assert_eq!(jobs[1].solver, Solver::Color(ColorAlgorithm::Degk { k: 2 }));
+        assert_eq!(jobs[1].solver, Solver::Color(Algo::Degk { k: 2 }));
         assert_eq!(jobs[1].arch, Arch::GpuSim);
         assert_eq!(jobs[1].frontier, FrontierMode::Dense);
         assert_eq!(jobs[1].seed, 9);
@@ -457,26 +389,26 @@ timeout_ms = 5000
             "[[job]]\ngraph = \"data/g#1.txt\"\nproblem = \"mis\"\nalgo = \"degk:3\" # note\n";
         let jobs = parse_jobs(text, "j.toml").unwrap();
         assert_eq!(jobs[0].graph, "data/g#1.txt");
-        assert_eq!(jobs[0].solver, Solver::Mis(MisAlgorithm::Degk { k: 3 }));
+        assert_eq!(jobs[0].solver, Solver::Mis(Algo::Degk { k: 3 }));
     }
 
     #[test]
     fn solver_parsing_defaults() {
         assert_eq!(
             parse_solver("mm", "rand").unwrap(),
-            Solver::Mm(MmAlgorithm::Rand { partitions: 10 })
+            Solver::Mm(Algo::Rand { partitions: 10 })
         );
         assert_eq!(
             parse_solver("color", "rand").unwrap(),
-            Solver::Color(ColorAlgorithm::Rand { partitions: 2 })
+            Solver::Color(Algo::Rand { partitions: 2 })
         );
         assert_eq!(
             parse_solver("mis", "rand").unwrap(),
-            Solver::Mis(MisAlgorithm::Rand { partitions: 10 })
+            Solver::Mis(Algo::Rand { partitions: 10 })
         );
         assert_eq!(
             parse_solver("mm", "degk").unwrap(),
-            Solver::Mm(MmAlgorithm::Degk { k: 2 })
+            Solver::Mm(Algo::Degk { k: 2 })
         );
         assert!(parse_solver("mm", "rand:0").is_err());
         assert!(parse_solver("lp", "rand").is_err());

@@ -33,9 +33,10 @@ pub mod session;
 
 pub use batch::{run_batch_compare, BatchOptions, JobOutcome, JobRecord};
 pub use cache::CacheStats;
-pub use engine::{DecompSpec, EditOutcome, Engine, EngineConfig, GraphSource, Solution, Solver};
+pub use engine::{EditOutcome, Engine, EngineConfig, GraphSource};
 pub use fingerprint::{fingerprint_graph, fingerprint_with_edits, fingerprint_with_edits_from};
 pub use jobs::{parse_jobs, JobSpec};
 pub use report::BatchReport;
+pub use sb_core::{Solution, Solver};
 pub use serve::{Client, ServeConfig, Server, ServerHandle};
 pub use session::{CancelToken, Session, SharedEngine};

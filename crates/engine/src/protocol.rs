@@ -19,9 +19,10 @@
 //! `sb-metrics`; serialization is hand-rolled here. The `stats` response
 //! body and the loadgen report are schema-pinned by the golden tests.
 
-use crate::jobs::{parse_arch, parse_solver, JobSpec};
+use crate::jobs::JobSpec;
 use crate::{JobOutcome, JobRecord};
-use sb_core::common::FrontierMode;
+use sb_core::common::{Arch, FrontierMode};
+use sb_core::Solver;
 use sb_graph::editlog::EditLog;
 use sb_metrics::{escape_json, parse_json_value, JsonValue};
 
@@ -86,8 +87,8 @@ impl SolveParams {
 
     /// Resolve the raw fields into an executable [`JobSpec`].
     pub fn to_job_spec(&self) -> Result<JobSpec, String> {
-        let solver = parse_solver(&self.problem, &self.algo)?;
-        let arch = parse_arch(&self.arch)?;
+        let solver = Solver::parse(&self.problem, &self.algo)?;
+        let arch = self.arch.parse::<Arch>()?;
         let frontier: FrontierMode = self.frontier.parse()?;
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!(
@@ -555,8 +556,7 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Solver;
-    use sb_core::matching::MmAlgorithm;
+    use sb_core::Algo;
 
     #[test]
     fn solve_roundtrips_through_json() {
@@ -572,7 +572,7 @@ mod tests {
         let parsed = parse_request(&p.to_json()).unwrap();
         assert_eq!(parsed, Request::Solve(Box::new(p.clone())));
         let job = p.to_job_spec().unwrap();
-        assert_eq!(job.solver, Solver::Mm(MmAlgorithm::Rand { partitions: 4 }));
+        assert_eq!(job.solver, Solver::Mm(Algo::Rand { partitions: 4 }));
         assert_eq!(job.label, "r7");
         assert_eq!(job.scale, 0.25);
         assert_eq!(job.graph_seed, Some(9));

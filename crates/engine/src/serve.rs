@@ -19,7 +19,7 @@
 //! no external dependencies, so the whole service builds offline.
 
 use crate::cache::CacheStats;
-use crate::engine::{EngineConfig, GraphSource, Solution, Solver};
+use crate::engine::{EngineConfig, GraphSource};
 use crate::jobs::JobSpec;
 use crate::protocol::{
     ack_response_json, cancel_ack_json, cancelled_response_json, error_response_json,
@@ -30,6 +30,7 @@ use crate::session::{CancelToken, SharedEngine};
 use crate::{JobOutcome, JobRecord};
 use sb_core::common::SolveOpts;
 use sb_core::repair;
+use sb_core::{Solution, Solver};
 use sb_graph::csr::Graph;
 use sb_graph::editlog::EditLog;
 use sb_par::exec::with_threads;
@@ -530,7 +531,7 @@ impl Shared {
             Err(e) => return fail(e),
         };
         let src_key = src.key();
-        let config = format!("{}@{}/{}", job.solver.label(), job.arch, job.frontier);
+        let config = format!("{}@{}/{}", job.solver, job.arch, job.frontier);
         let stream_key: StreamKey = (
             params.tenant.clone(),
             src_key.clone(),

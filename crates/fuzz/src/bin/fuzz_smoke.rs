@@ -111,20 +111,14 @@ fn main() -> ExitCode {
     // the first and wires vertex 0 into every vertex of the second, which
     // invalidates any prior matching, MIS, or greedy coloring.
     {
-        use sb_core::coloring::ColorAlgorithm;
-        use sb_core::matching::MmAlgorithm;
-        use sb_core::mis::MisAlgorithm;
-        use sb_core::Arch;
+        use sb_core::{Algo, Arch, Solver};
         use sb_fuzz::SolverConfig;
         use sb_graph::editlog::EditLog;
         let g =
             sb_graph::builder::from_edge_list(6, &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
         let seq = [EditLog::parse("-0-1,-0-2,-1-2,+0-3,+0-4,+0-5").unwrap()];
-        for cfg in [
-            SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu),
-            SolverConfig::Mis(MisAlgorithm::Baseline, Arch::Cpu),
-            SolverConfig::Color(ColorAlgorithm::Baseline, Arch::Cpu),
-        ] {
+        for solver in [Solver::Mm, Solver::Mis, Solver::Color] {
+            let cfg = SolverConfig::new(solver(Algo::Baseline), Arch::Cpu);
             match sb_fuzz::oracle::check_edit_chain(
                 &g,
                 &cfg,
@@ -133,15 +127,9 @@ fn main() -> ExitCode {
                 Mutation::StaleRepair,
                 &seq,
             ) {
-                Err(f) => println!(
-                    "self-test: planted stale repair caught on {} ({f})",
-                    cfg.label()
-                ),
+                Err(f) => println!("self-test: planted stale repair caught on {} ({f})", cfg),
                 Ok(()) => {
-                    eprintln!(
-                        "self-test FAILED: stale repair not caught on {}",
-                        cfg.label()
-                    );
+                    eprintln!("self-test FAILED: stale repair not caught on {}", cfg);
                     return ExitCode::FAILURE;
                 }
             }
@@ -245,14 +233,13 @@ fn run_static_self_tests(args: &Args) -> Result<(), ExitCode> {
     // A chain with chord edges is dense enough that a corrupted RAND
     // decomposition visibly changes the coloring.
     {
-        use sb_core::coloring::ColorAlgorithm;
-        use sb_core::Arch;
+        use sb_core::{Algo, Arch, Solver};
         use sb_fuzz::SolverConfig;
         let n = 32u32;
         let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
         let g = sb_graph::builder::from_edge_list(n as usize, &edges);
-        let cfg = SolverConfig::Color(ColorAlgorithm::Rand { partitions: 3 }, Arch::Cpu);
+        let cfg = SolverConfig::new(Solver::Color(Algo::Rand { partitions: 3 }), Arch::Cpu);
         match sb_fuzz::oracle::check_engine_case(&g, &cfg, 9, Mutation::StaleDecompCache) {
             Err(f) => println!("self-test: planted stale decomposition cache caught ({f})"),
             Ok(()) => {
@@ -266,14 +253,13 @@ fn run_static_self_tests(args: &Args) -> Result<(), ExitCode> {
     // off-by-one in the bitset frontier path — MIS bits flipped at
     // vertices 63/64/65, the seam between u64 words 0 and 1.
     {
-        use sb_core::mis::MisAlgorithm;
-        use sb_core::Arch;
+        use sb_core::{Algo, Arch, Solver};
         use sb_fuzz::SolverConfig;
         let n = 70u32;
         let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
         let g = sb_graph::builder::from_edge_list(n as usize, &edges);
-        let cfg = SolverConfig::Mis(MisAlgorithm::Baseline, Arch::Cpu);
+        let cfg = SolverConfig::new(Solver::Mis(Algo::Baseline), Arch::Cpu);
         match sb_fuzz::oracle::check_case(&g, &cfg, 9, args.threads, Mutation::BitsetWordBoundary) {
             Err(f) => println!("self-test: planted bitset word-boundary bug caught ({f})"),
             Ok(()) => {

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! # sb-fuzz counterexample
-//! # config: mm-rand3@gpu
+//! # config: mm-rand:3@gpu
 //! # seed: 1234
 //! # threads: 4
 //! # failure: validity: dense@1t: matching not maximal ...
@@ -147,7 +147,7 @@ impl CaseFile {
     /// `check_edit_chain`; everything else replays the mode × thread
     /// matrix through `check_case`.
     pub fn regression_skeleton(&self) -> String {
-        let name = self.config.replace(['-', '@'], "_");
+        let name = self.config.replace(['-', '@', ':'], "_");
         let edges = self
             .edges
             .iter()
@@ -199,7 +199,7 @@ mod tests {
 
     fn case() -> CaseFile {
         CaseFile {
-            config: "mm-rand3@gpu".to_string(),
+            config: "mm-rand:3@gpu".to_string(),
             seed: 42,
             threads: 4,
             failure: "equality: compact@4t differs from dense@1t".to_string(),
@@ -226,9 +226,9 @@ mod tests {
     #[test]
     fn skeleton_names_the_config_and_edges() {
         let skel = case().regression_skeleton();
-        assert!(skel.contains("fuzz_regression_mm_rand3_gpu_42"));
+        assert!(skel.contains("fuzz_regression_mm_rand_3_gpu_42"));
         assert!(skel.contains("(0, 1), (1, 2)"));
-        assert!(skel.contains("mm-rand3@gpu"));
+        assert!(skel.contains("mm-rand:3@gpu"));
         assert!(skel.contains("check_case"));
     }
 

@@ -265,7 +265,7 @@ fn minimize(
         opts.shrink_evals,
     );
     let mut cex = Counterexample {
-        config: cfg.label(),
+        config: cfg.to_string(),
         graph: case.name.clone(),
         seed,
         kind: kind.to_string(),

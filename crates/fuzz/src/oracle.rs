@@ -18,12 +18,8 @@
 //!    frontier-mode-invariant for the LMAX (GPU-sim) matching family.
 
 use crate::config::SolverConfig;
-use sb_core::coloring::vertex_coloring_opts;
 use sb_core::common::{FrontierMode, RunStats, SolveOpts};
-use sb_core::matching::maximal_matching_opts;
-use sb_core::mis::maximal_independent_set_opts;
-use sb_core::verify;
-use sb_core::Arch;
+use sb_core::{Algo, Arch, Solution, Solver};
 use sb_graph::csr::{Graph, INVALID};
 use sb_par::with_threads;
 use sb_trace::{total_delta, TraceEvent, TraceSink};
@@ -78,19 +74,11 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Solver output in family-agnostic form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Output {
-    Mate(Vec<u32>),
-    Set(Vec<bool>),
-    Color(Vec<u32>),
-}
-
 struct RunOutput {
     tag: String,
     mode: FrontierMode,
     threads: usize,
-    out: Output,
+    out: Solution,
     stats: RunStats,
     events: Vec<TraceEvent>,
 }
@@ -109,36 +97,20 @@ fn run_one(
             trace: Some(sink.clone()),
             frontier: mode,
         };
-        let (out, stats) = match *cfg {
-            SolverConfig::Mm(algo, arch) => {
-                let run = maximal_matching_opts(g, algo, arch, seed, &opts);
-                let mut mate = run.mate;
-                if mutation == Mutation::CorruptMatching {
-                    if let Some(v) = mate.iter().position(|&m| m != INVALID) {
-                        let m = mate[v] as usize;
-                        mate[v] = INVALID;
-                        mate[m] = INVALID;
+        let (mut out, stats) = sb_core::solve(g, cfg.solver, cfg.arch, seed, &opts, None);
+        match (&mut out, mutation) {
+            (Solution::Mate(mate), Mutation::CorruptMatching) => corrupt_matching(mate),
+            (Solution::Set(in_set), Mutation::BitsetWordBoundary)
+                if mode == FrontierMode::Bitset =>
+            {
+                for v in [63usize, 64, 65] {
+                    if let Some(b) = in_set.get_mut(v) {
+                        *b = !*b;
                     }
                 }
-                (Output::Mate(mate), run.stats)
             }
-            SolverConfig::Mis(algo, arch) => {
-                let run = maximal_independent_set_opts(g, algo, arch, seed, &opts);
-                let mut in_set = run.in_set;
-                if mutation == Mutation::BitsetWordBoundary && mode == FrontierMode::Bitset {
-                    for v in [63usize, 64, 65] {
-                        if let Some(b) = in_set.get_mut(v) {
-                            *b = !*b;
-                        }
-                    }
-                }
-                (Output::Set(in_set), run.stats)
-            }
-            SolverConfig::Color(algo, arch) => {
-                let run = vertex_coloring_opts(g, algo, arch, seed, &opts);
-                (Output::Color(run.color), run.stats)
-            }
-        };
+            _ => {}
+        }
         RunOutput {
             tag: format!("{mode}@{threads}t"),
             mode,
@@ -150,16 +122,13 @@ fn run_one(
     })
 }
 
-fn check_valid(g: &Graph, run: &RunOutput) -> Result<(), Failure> {
-    let res = match &run.out {
-        Output::Mate(mate) => verify::check_maximal_matching(g, mate),
-        Output::Set(in_set) => verify::check_maximal_independent_set(g, in_set),
-        Output::Color(color) => verify::check_coloring(g, color),
-    };
-    res.map_err(|e| Failure {
-        kind: "validity",
-        detail: format!("{}: {e}", run.tag),
-    })
+/// Un-match the lowest matched pair ([`Mutation::CorruptMatching`]).
+fn corrupt_matching(mate: &mut [u32]) {
+    if let Some(v) = mate.iter().position(|&m| m != INVALID) {
+        let m = mate[v] as usize;
+        mate[v] = INVALID;
+        mate[m] = INVALID;
+    }
 }
 
 /// Run `cfg` on `g` across the mode × thread matrix and cross-check every
@@ -188,12 +157,15 @@ pub fn check_case(
 
     // 1. Every run valid and maximal.
     for run in &runs {
-        check_valid(g, run)?;
+        run.out.verify(g).map_err(|e| Failure {
+            kind: "validity",
+            detail: format!("{}: {e}", run.tag),
+        })?;
     }
 
     // 2. Byte-equality where the contract promises it.
-    match cfg {
-        SolverConfig::Mm(..) | SolverConfig::Mis(..) => {
+    match cfg.solver {
+        Solver::Mm(_) | Solver::Mis(_) => {
             for run in &runs[1..] {
                 if run.out != runs[0].out {
                     return Err(Failure {
@@ -203,7 +175,7 @@ pub fn check_case(
                 }
             }
         }
-        SolverConfig::Color(..) => {
+        Solver::Color(_) => {
             // VB's conflict-fix loop is interleaving-dependent, so the
             // contract only promises cross-mode identity at one thread.
             for run in runs.iter().filter(|r| r.threads == 1).skip(1) {
@@ -243,7 +215,7 @@ pub fn check_case(
 
     // 4a. Per-phase round records are thread-invariant within a mode for
     // the seed-deterministic families (matching, MIS).
-    if !matches!(cfg, SolverConfig::Color(..)) {
+    if !matches!(cfg.solver, Solver::Color(_)) {
         for mode in [
             FrontierMode::Dense,
             FrontierMode::Compact,
@@ -267,7 +239,7 @@ pub fn check_case(
     // 4b. Productive (non-vacuous) round counts are frontier-mode
     // invariant for the LMAX matching family on the GPU-sim pipeline —
     // the §10 contract this PR's vacuous-round fix establishes.
-    if matches!(cfg, SolverConfig::Mm(..)) && cfg.arch() == Arch::GpuSim {
+    if matches!(cfg.solver, Solver::Mm(_)) && cfg.arch == Arch::GpuSim {
         let base = sb_trace::productive_rounds_per_phase(&runs[0].events);
         for run in &runs[1..] {
             let got = sb_trace::productive_rounds_per_phase(&run.events);
@@ -307,15 +279,9 @@ pub fn check_engine_case(
     seed: u64,
     mutation: Mutation,
 ) -> Result<(), Failure> {
-    use sb_engine::engine::DecompSpec;
-    use sb_engine::{Engine, EngineConfig, Solver};
+    use sb_engine::{Engine, EngineConfig};
 
-    let solver = match *cfg {
-        SolverConfig::Mm(a, _) => Solver::Mm(a),
-        SolverConfig::Mis(a, _) => Solver::Mis(a),
-        SolverConfig::Color(a, _) => Solver::Color(a),
-    };
-    let arch = cfg.arch();
+    let SolverConfig { solver, arch } = *cfg;
     let g = Arc::new(g.clone());
     let opts = SolveOpts::default();
 
@@ -331,7 +297,7 @@ pub fn check_engine_case(
     }
     let hit = cached_engine.solve_on(&g, solver, arch, seed, &opts);
 
-    let decomposed = solver.decomp_spec() != DecompSpec::None;
+    let decomposed = solver.algo() != Algo::Baseline;
     if decomposed && hit.decomp_cached != Some(true) {
         return Err(Failure {
             kind: "accounting",
@@ -405,7 +371,7 @@ pub fn check_edit_chain(
         FrontierMode::Compact,
         FrontierMode::Bitset,
     ];
-    let mut finals: Vec<(FrontierMode, Output)> = Vec::new();
+    let mut finals: Vec<(FrontierMode, Solution)> = Vec::new();
     for (mi, &mode) in modes.iter().enumerate() {
         let opts = SolveOpts {
             trace: None,
@@ -419,32 +385,22 @@ pub fn check_edit_chain(
                 prior.clone()
             } else {
                 match &prior {
-                    Output::Mate(mate) => {
-                        Output::Mate(repair::repair_matching(&cur, batch, mate, &opts).mate)
+                    Solution::Mate(mate) => {
+                        Solution::Mate(repair::repair_matching(&cur, batch, mate, &opts).mate)
                     }
-                    Output::Set(in_set) => {
-                        Output::Set(repair::repair_mis(&cur, batch, in_set, &opts).in_set)
+                    Solution::Set(in_set) => {
+                        Solution::Set(repair::repair_mis(&cur, batch, in_set, &opts).in_set)
                     }
-                    Output::Color(color) => {
-                        Output::Color(repair::repair_coloring(&cur, batch, color, &opts).color)
+                    Solution::Color(color) => {
+                        Solution::Color(repair::repair_coloring(&cur, batch, color, &opts).color)
                     }
                 }
             };
             let tag = format!("{mode} batch {bi} [{}]", batch.wire());
-            let repaired_check = match &repaired {
-                Output::Mate(mate) => {
-                    verify::check_maximal_matching(&next, mate).map_err(|e| e.to_string())
-                }
-                Output::Set(in_set) => {
-                    verify::check_maximal_independent_set(&next, in_set).map_err(|e| e.to_string())
-                }
-                Output::Color(color) => {
-                    verify::check_coloring(&next, color).map_err(|e| e.to_string())
-                }
-            };
+            let repaired_check = repaired.verify(&next);
             if mi == 0 {
                 let fresh = run_one(&next, cfg, seed, mode, wide.max(1), Mutation::None);
-                let fresh_ok = check_valid(&next, &fresh).is_ok();
+                let fresh_ok = fresh.out.verify(&next).is_ok();
                 if repaired_check.is_ok() != fresh_ok {
                     return Err(Failure {
                         kind: "edit-validity",
@@ -549,23 +505,6 @@ fn edge_list(g: &Graph) -> Vec<(u32, u32)> {
     edges
 }
 
-/// The algo string in `sbreak` wire form (`rand:3`, `degk:2`, `bicc`, …).
-fn wire_algo(cfg: &SolverConfig) -> String {
-    let label = cfg.label();
-    let algo = label
-        .split_once('@')
-        .and_then(|(body, _)| body.split_once('-'))
-        .map(|(_, algo)| algo)
-        .unwrap_or_default();
-    if let Some(p) = algo.strip_prefix("rand") {
-        format!("rand:{p}")
-    } else if let Some(k) = algo.strip_prefix("degk") {
-        format!("degk:{k}")
-    } else {
-        algo.to_string()
-    }
-}
-
 /// The serve axis: route the case through the loopback daemon as an
 /// `inline:` graph with `want_solution`, and byte-compare the returned
 /// solution text against an in-process cap-0 engine running the *same*
@@ -583,7 +522,7 @@ pub fn check_serve_case(
     serve: &ServeOracle,
 ) -> Result<(), Failure> {
     use sb_engine::protocol::SolveParams;
-    use sb_engine::{Engine, GraphSource, Solution};
+    use sb_engine::{Engine, GraphSource};
 
     let fail = |detail: String| Failure {
         kind: "serve",
@@ -595,11 +534,11 @@ pub fn check_serve_case(
     let seed = seed & sb_engine::protocol::MAX_SAFE_JSON_INT;
     let mut params = SolveParams::new(
         &GraphSource::encode_inline(g.num_vertices(), &edge_list(g)),
-        cfg.family(),
-        &wire_algo(cfg),
+        cfg.solver.problem(),
+        &cfg.solver.algo().to_string(),
     );
-    params.id = format!("fuzz-{}-{seed}", cfg.label());
-    params.arch = cfg.arch().to_string();
+    params.id = format!("fuzz-{cfg}-{seed}");
+    params.arch = cfg.arch.to_string();
     params.seed = seed;
     params.want_solution = true;
     let job = params
@@ -610,11 +549,7 @@ pub fn check_serve_case(
     let mut reference = fresh.run_job(&job, None);
     if mutation == Mutation::CorruptMatching {
         if let Some(Solution::Mate(mate)) = &mut reference.solution {
-            if let Some(v) = mate.iter().position(|&m| m != INVALID) {
-                let m = mate[v] as usize;
-                mate[v] = INVALID;
-                mate[m] = INVALID;
-            }
+            corrupt_matching(mate);
         }
     }
 
@@ -663,22 +598,24 @@ fn lock_client(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_core::matching::MmAlgorithm;
     use sb_graph::builder::from_edge_list;
+
+    const MM_BASELINE_CPU: SolverConfig = SolverConfig::new(Solver::Mm(Algo::Baseline), Arch::Cpu);
+    const MIS_BASELINE_CPU: SolverConfig =
+        SolverConfig::new(Solver::Mis(Algo::Baseline), Arch::Cpu);
 
     #[test]
     fn clean_solver_passes_on_a_path() {
         let g = from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         for cfg in SolverConfig::all() {
-            check_case(&g, &cfg, 7, 2, Mutation::None)
-                .unwrap_or_else(|f| panic!("{}: {f}", cfg.label()));
+            check_case(&g, &cfg, 7, 2, Mutation::None).unwrap_or_else(|f| panic!("{}: {f}", cfg));
         }
     }
 
     #[test]
     fn planted_corruption_is_caught_as_validity_failure() {
         let g = from_edge_list(2, &[(0, 1)]);
-        let cfg = SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MM_BASELINE_CPU;
         let f = check_case(&g, &cfg, 7, 2, Mutation::CorruptMatching).unwrap_err();
         assert_eq!(f.kind, "validity");
     }
@@ -702,7 +639,7 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
         let g = from_edge_list(n as usize, &edges);
-        let cfg = SolverConfig::Mis(sb_core::mis::MisAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MIS_BASELINE_CPU;
         let f = check_case(&g, &cfg, 7, 2, Mutation::BitsetWordBoundary).unwrap_err();
         assert!(
             f.kind == "validity" || f.kind == "equality",
@@ -717,7 +654,7 @@ mod tests {
         // stay clean — pinning that the self-test really is about the
         // word seam, not generic corruption.
         let g = from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let cfg = SolverConfig::Mis(sb_core::mis::MisAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MIS_BASELINE_CPU;
         check_case(&g, &cfg, 7, 2, Mutation::BitsetWordBoundary).unwrap();
     }
 
@@ -726,15 +663,14 @@ mod tests {
         let g = chorded_graph();
         for cfg in SolverConfig::all() {
             check_engine_case(&g, &cfg, 9, Mutation::None)
-                .unwrap_or_else(|f| panic!("{}: {f}", cfg.label()));
+                .unwrap_or_else(|f| panic!("{}: {f}", cfg));
         }
     }
 
     #[test]
     fn engine_axis_catches_planted_stale_cache() {
-        use sb_core::coloring::ColorAlgorithm;
         let g = chorded_graph();
-        let cfg = SolverConfig::Color(ColorAlgorithm::Rand { partitions: 3 }, Arch::Cpu);
+        let cfg = SolverConfig::new(Solver::Color(Algo::Rand { partitions: 3 }), Arch::Cpu);
         let f = check_engine_case(&g, &cfg, 9, Mutation::StaleDecompCache).unwrap_err();
         assert!(
             f.kind == "equality" || f.kind == "validity",
@@ -747,7 +683,7 @@ mod tests {
         // Baseline solvers cache no decomposition, so the planted stale
         // entry has nothing to corrupt: the check must still pass.
         let g = chorded_graph();
-        let cfg = SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MM_BASELINE_CPU;
         check_engine_case(&g, &cfg, 9, Mutation::StaleDecompCache).unwrap();
     }
 
@@ -759,7 +695,7 @@ mod tests {
         let g = chorded_graph();
         for cfg in SolverConfig::all() {
             check_edit_case(&g, &cfg, 9, 2, Mutation::None)
-                .unwrap_or_else(|f| panic!("{}: {f}", cfg.label()));
+                .unwrap_or_else(|f| panic!("{}: {f}", cfg));
         }
     }
 
@@ -779,23 +715,20 @@ mod tests {
 
     #[test]
     fn edit_axis_catches_a_planted_stale_repair_per_family() {
-        use sb_core::coloring::ColorAlgorithm;
-        use sb_core::mis::MisAlgorithm;
-
         let (g, seq) = stale_repair_case();
         for cfg in [
-            SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu),
-            SolverConfig::Mis(MisAlgorithm::Baseline, Arch::Cpu),
-            SolverConfig::Color(ColorAlgorithm::Baseline, Arch::Cpu),
+            MM_BASELINE_CPU,
+            MIS_BASELINE_CPU,
+            SolverConfig::new(Solver::Color(Algo::Baseline), Arch::Cpu),
         ] {
             let f = match check_edit_chain(&g, &cfg, 7, 2, Mutation::StaleRepair, &seq) {
                 Err(f) => f,
-                Ok(()) => panic!("{}: stale repair not caught", cfg.label()),
+                Ok(()) => panic!("{}: stale repair not caught", cfg),
             };
-            assert_eq!(f.kind, "edit-validity", "{}: {f}", cfg.label());
+            assert_eq!(f.kind, "edit-validity", "{}: {f}", cfg);
             // The same chain with the real repair passes.
             check_edit_chain(&g, &cfg, 7, 2, Mutation::None, &seq)
-                .unwrap_or_else(|f| panic!("{}: {f}", cfg.label()));
+                .unwrap_or_else(|f| panic!("{}: {f}", cfg));
         }
     }
 
@@ -808,7 +741,7 @@ mod tests {
         use sb_graph::editlog::EditLog;
         let g = from_edge_list(2, &[(0, 1)]);
         let seq = [EditLog::parse("-0-1,+0-1").unwrap()];
-        let cfg = SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MM_BASELINE_CPU;
         check_edit_chain(&g, &cfg, 7, 2, Mutation::StaleRepair, &seq).unwrap();
     }
 
@@ -820,7 +753,7 @@ mod tests {
         let daemon = ServeOracle::spawn().unwrap();
         for cfg in SolverConfig::all() {
             check_serve_case(&g, &cfg, 9, Mutation::None, &daemon)
-                .unwrap_or_else(|f| panic!("{}: {f}", cfg.label()));
+                .unwrap_or_else(|f| panic!("{}: {f}", cfg));
         }
         daemon.stop();
     }
@@ -831,7 +764,7 @@ mod tests {
         // surface as a byte-level serve divergence.
         let g = chorded_graph();
         let daemon = ServeOracle::spawn().unwrap();
-        let cfg = SolverConfig::Mm(MmAlgorithm::Baseline, Arch::Cpu);
+        let cfg = MM_BASELINE_CPU;
         let f = check_serve_case(&g, &cfg, 9, Mutation::CorruptMatching, &daemon).unwrap_err();
         assert_eq!(f.kind, "serve");
         assert!(f.detail.contains("differs"), "{f}");

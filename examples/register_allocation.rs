@@ -57,12 +57,12 @@ fn main() {
     );
 
     for (algo, label) in [
-        (ColorAlgorithm::Baseline, "VB baseline"),
-        (ColorAlgorithm::Degk { k: 2 }, "COLOR-Deg2 "),
-        (ColorAlgorithm::Rand { partitions: 2 }, "COLOR-Rand "),
+        (Algo::Baseline, "VB baseline"),
+        (Algo::Degk { k: 2 }, "COLOR-Deg2 "),
+        (Algo::Rand { partitions: 2 }, "COLOR-Rand "),
     ] {
         let t = Instant::now();
-        let run = vertex_coloring(&g, algo, Arch::Cpu, 3);
+        let run = vertex_coloring_opts(&g, algo, Arch::Cpu, 3, &SolveOpts::default());
         let ms = t.elapsed().as_secs_f64() * 1e3;
         check_coloring(&g, &run.color).unwrap();
         let spilled = run.color.iter().filter(|&&c| c >= MACHINE_REGS).count();

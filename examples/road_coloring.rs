@@ -14,6 +14,7 @@ use std::time::Instant;
 use symmetry_breaking::prelude::*;
 
 fn main() {
+    let opts = SolveOpts::default();
     let g = generate(GraphId::GermanyOsm, Scale::Factor(0.5), 7);
     let stats = GraphStats::compute(&g);
     println!(
@@ -33,12 +34,12 @@ fn main() {
     );
 
     let t = Instant::now();
-    let base = vertex_coloring(&g, ColorAlgorithm::Baseline, Arch::Cpu, 1);
+    let base = vertex_coloring_opts(&g, Algo::Baseline, Arch::Cpu, 1, &opts);
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &base.color).unwrap();
 
     let t = Instant::now();
-    let degk = vertex_coloring(&g, ColorAlgorithm::Degk { k: 2 }, Arch::Cpu, 1);
+    let degk = vertex_coloring_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 1, &opts);
     let degk_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &degk.color).unwrap();
 

@@ -77,6 +77,7 @@ use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use symmetry_breaking::core::solver::split_param;
 use symmetry_breaking::decompose::{
     decompose_bicc, decompose_bridge, decompose_degk, decompose_metis_like, decompose_rand,
 };
@@ -105,20 +106,6 @@ fn usage() -> ! {
          --metrics <out.json> (solve/batch/fuzz): write the metrics registry snapshot on exit"
     );
     std::process::exit(2)
-}
-
-/// `name:K` → (name, Some(K)); `name` → (name, None). A malformed or zero
-/// parameter is an error rather than a silent fallback.
-fn split_param(s: &str) -> Result<(&str, Option<usize>), String> {
-    match s.split_once(':') {
-        Some((a, b)) => match b.parse::<usize>() {
-            Ok(k) if k >= 1 => Ok((a, Some(k))),
-            _ => Err(format!(
-                "'{s}': the parameter after ':' must be a positive integer"
-            )),
-        },
-        None => Ok((s, None)),
-    }
 }
 
 /// Resolve a Table II name to its `GraphId`.
@@ -238,13 +225,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--seed takes a u64".to_string())?
             }
-            "--arch" => {
-                f.arch = match val("--arch")?.as_str() {
-                    "cpu" => Arch::Cpu,
-                    "gpu" => Arch::GpuSim,
-                    other => return Err(format!("unknown arch '{other}'")),
-                }
-            }
+            "--arch" => f.arch = val("--arch")?.parse()?,
             "--frontier" => f.frontier = val("--frontier")?.parse()?,
             "--method" => f.method = Some(val("--method")?),
             "--problem" => f.problem = Some(val("--problem")?),
@@ -559,106 +540,26 @@ fn cmd_decompose(f: &Flags) -> Result<(), String> {
 fn cmd_solve(f: &Flags) -> Result<(), String> {
     let input = f.positional.first().ok_or("solve needs an input")?;
     let problem = f.problem.as_ref().ok_or("solve needs --problem")?;
+    let solver = Solver::parse(problem, &f.algo)?;
     let g = load_input(input, f.scale, f.seed)?;
     let sink = trace_sink(f);
     let opts = SolveOpts {
         trace: sink.clone(),
         frontier: f.frontier,
     };
-
-    match problem.as_str() {
-        "mm" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => MmAlgorithm::Baseline,
-                ("bridge", _) => MmAlgorithm::Bridge,
-                ("rand", k) => MmAlgorithm::Rand {
-                    partitions: k.unwrap_or(10),
-                },
-                ("degk", k) => MmAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => MmAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = maximal_matching_opts(&g, algo, f.arch, f.seed, &opts);
-            check_maximal_matching(&g, &run.mate).map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "maximal matching: {} edges in {:.2} ms ({} rounds; decomposition {:.2} ms) — verified",
-                run.cardinality(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds,
-                run.stats.decompose_time.as_secs_f64() * 1e3
-            );
-            let body: String = run
-                .mate
-                .iter()
-                .enumerate()
-                .filter(|&(v, &m)| (m as usize) > v && m != INVALID)
-                .map(|(v, &m)| format!("{v} {m}\n"))
-                .collect();
-            if f.output.is_some() {
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        "color" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => ColorAlgorithm::Baseline,
-                ("bridge", _) => ColorAlgorithm::Bridge,
-                ("rand", k) => ColorAlgorithm::Rand {
-                    partitions: k.unwrap_or(2),
-                },
-                ("degk", k) => ColorAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => ColorAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = vertex_coloring_opts(&g, algo, f.arch, f.seed, &opts);
-            check_coloring(&g, &run.color).map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "coloring: {} colors in {:.2} ms ({} rounds) — verified",
-                run.num_colors(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds
-            );
-            if f.output.is_some() {
-                let body: String = run
-                    .color
-                    .iter()
-                    .enumerate()
-                    .map(|(v, c)| format!("{v} {c}\n"))
-                    .collect();
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        "mis" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => MisAlgorithm::Baseline,
-                ("bridge", _) => MisAlgorithm::Bridge,
-                ("rand", k) => MisAlgorithm::Rand {
-                    partitions: k.unwrap_or(10),
-                },
-                ("degk", k) => MisAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => MisAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = maximal_independent_set_opts(&g, algo, f.arch, f.seed, &opts);
-            check_maximal_independent_set(&g, &run.in_set)
-                .map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "maximal independent set: {} vertices in {:.2} ms ({} rounds) — verified",
-                run.size(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds
-            );
-            if f.output.is_some() {
-                let body: String = run
-                    .in_set
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b)
-                    .map(|(v, _)| format!("{v}\n"))
-                    .collect();
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        other => return Err(format!("unknown problem '{other}' (mm|color|mis)")),
+    let (solution, stats) = solve(&g, solver, f.arch, f.seed, &opts, None);
+    solution
+        .verify(&g)
+        .map_err(|e| format!("INVALID RESULT: {e}"))?;
+    println!(
+        "{solver}: {} in {:.2} ms ({} rounds; decomposition {:.2} ms) — verified",
+        solution.summary(),
+        stats.total_ms(),
+        stats.counters.rounds,
+        stats.decompose_time.as_secs_f64() * 1e3
+    );
+    if f.output.is_some() {
+        write_or_print(&f.output, &solution.render())?;
     }
     flush_trace(f, &sink)?;
     Ok(())

@@ -12,10 +12,16 @@
 //! ```
 //! use symmetry_breaking::prelude::*;
 //!
-//! // Build a graph, pick an algorithm + architecture, verify the result.
+//! // Build a graph, pick a solver + architecture, verify the result.
 //! let g = from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-//! let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: 2 }, Arch::Cpu, 42);
-//! check_maximal_matching(&g, &run.mate).unwrap();
+//! let solver = Solver::Mm(Algo::Rand { partitions: 2 });
+//! let (solution, _stats) = solve(&g, solver, Arch::Cpu, 42, &SolveOpts::default(), None);
+//! solution.verify(&g).unwrap();
+//!
+//! // The same configuration by name, as the CLI, jobs files and serve
+//! // requests spell it.
+//! assert_eq!(Solver::parse("mm", "rand:2").unwrap(), solver);
+//! assert_eq!(solver.to_string(), "mm-rand:2");
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
@@ -33,23 +39,16 @@ pub use sb_trace as trace;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use sb_core::coloring::{
-        vertex_coloring, vertex_coloring_opts, vertex_coloring_traced, ColorAlgorithm, ColoringRun,
-    };
+    pub use sb_core::coloring::{vertex_coloring_opts, ColoringRun};
     pub use sb_core::common::{Arch, FrontierMode, RunStats, SolveOpts};
-    pub use sb_core::matching::{
-        maximal_matching, maximal_matching_opts, maximal_matching_traced, suggested_partitions,
-        MatchingRun, MmAlgorithm,
-    };
-    pub use sb_core::mis::{
-        maximal_independent_set, maximal_independent_set_opts, maximal_independent_set_traced,
-        MisAlgorithm, MisRun,
-    };
+    pub use sb_core::matching::{maximal_matching_opts, suggested_partitions, MatchingRun};
+    pub use sb_core::mis::{maximal_independent_set_opts, MisRun};
     pub use sb_core::repair::{repair_coloring, repair_matching, repair_mis};
     pub use sb_core::verify::{
         check_coloring, check_independent_set, check_matching, check_maximal_independent_set,
         check_maximal_matching, color_count, matching_cardinality,
     };
+    pub use sb_core::{decompose, solve, Algo, Decomposition, Solution, Solver};
     pub use sb_datasets::suite::{generate, load_or_generate, spec, GraphId, Scale};
     pub use sb_decompose::{
         decompose_bridge, decompose_degk, decompose_metis_like, decompose_rand,
@@ -57,7 +56,7 @@ pub mod prelude {
     pub use sb_engine::{
         parse_jobs, run_batch_compare, BatchOptions, BatchReport, CancelToken, Client, Engine,
         EngineConfig, GraphSource, JobSpec, ServeConfig, Server, ServerHandle, Session,
-        SharedEngine, Solver,
+        SharedEngine,
     };
     pub use sb_graph::builder::{from_edge_list, GraphBuilder};
     pub use sb_graph::csr::{Graph, VertexId, INVALID};

@@ -381,3 +381,76 @@ fn seed_determinism_through_the_cli() {
     let strip_ms = |s: String| -> String { s.split(" in ").next().unwrap_or_default().to_string() };
     assert_eq!(strip_ms(stdout(&a)), strip_ms(stdout(&b)));
 }
+
+#[test]
+fn bad_algo_labels_get_one_message_on_every_surface() {
+    use symmetry_breaking::engine::protocol::SolveParams;
+    use symmetry_breaking::engine::{Client, ServeConfig, Server};
+    use symmetry_breaking::prelude::Solver;
+
+    let dir = std::env::temp_dir().join("sbreak-cli-bad-algo");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = Server::spawn(ServeConfig::default()).expect("bind loopback");
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // (algo, fragment the shared message must carry)
+    let cases = [
+        ("rand:0", "positive integer"),
+        ("rand:x", "positive integer"),
+        ("degk:0", "positive integer"),
+        ("rand:", "positive integer"),
+        ("quux", "unknown algo"),
+    ];
+    for (i, (algo, fragment)) in cases.into_iter().enumerate() {
+        let message = Solver::parse("mm", algo).unwrap_err();
+        assert!(message.contains(fragment), "{algo}: {message}");
+
+        let out = sbreak(&[
+            "solve",
+            "gen:lp1",
+            "--scale",
+            "0.02",
+            "--problem",
+            "mm",
+            "--algo",
+            algo,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "solve --algo {algo}");
+        assert!(
+            stderr(&out).contains(&message),
+            "solve --algo {algo}: {}",
+            stderr(&out)
+        );
+
+        let jobs = dir.join(format!("bad{i}.toml"));
+        std::fs::write(
+            &jobs,
+            format!("[[job]]\ngraph = \"gen:lp1\"\nproblem = \"mm\"\nalgo = \"{algo}\"\n"),
+        )
+        .unwrap();
+        let out = sbreak(&["batch", jobs.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "jobs file algo {algo}");
+        assert!(stderr(&out).contains(":4:"), "{}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&message),
+            "jobs file algo {algo}: {}",
+            stderr(&out)
+        );
+
+        let reply = client
+            .solve(&SolveParams::new("gen:lp1", "mm", algo))
+            .unwrap();
+        assert_eq!(reply.status(), "error", "serve algo {algo}");
+        assert_eq!(reply.str_field("code"), Some("bad_request"));
+        assert_eq!(
+            reply.str_field("detail"),
+            Some(message.as_str()),
+            "serve algo {algo}"
+        );
+    }
+    server.shutdown();
+    drop(client);
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

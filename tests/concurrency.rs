@@ -43,16 +43,19 @@ fn rmat() -> Graph {
 #[test]
 fn matching_verifier_clean_at_every_width() {
     let algos = [
-        MmAlgorithm::Baseline, // GM on CPU, LMAX on GPU-sim
-        MmAlgorithm::Bridge,
-        MmAlgorithm::Rand { partitions: 4 },
-        MmAlgorithm::Degk { k: 2 },
+        Algo::Baseline, // GM on CPU, LMAX on GPU-sim
+        Algo::Bridge,
+        Algo::Rand { partitions: 4 },
+        Algo::Degk { k: 2 },
     ];
     for (gname, g) in [("rgg", rgg()), ("rmat", rmat())] {
         for arch in [Arch::Cpu, Arch::GpuSim] {
             for algo in algos {
                 for &t in &thread_axis() {
-                    let mate = with_threads(t, || maximal_matching(&g, algo, arch, 11)).mate;
+                    let mate = with_threads(t, || {
+                        maximal_matching_opts(&g, algo, arch, 11, &SolveOpts::default())
+                    })
+                    .mate;
                     check_maximal_matching(&g, &mate).unwrap_or_else(|e| {
                         panic!("{gname} / {algo:?} / {arch} @ {t} threads: {e}")
                     });
@@ -65,16 +68,19 @@ fn matching_verifier_clean_at_every_width() {
 #[test]
 fn coloring_verifier_clean_at_every_width() {
     let algos = [
-        ColorAlgorithm::Baseline, // VB on CPU, EB on GPU-sim
-        ColorAlgorithm::Bridge,
-        ColorAlgorithm::Rand { partitions: 2 },
-        ColorAlgorithm::Degk { k: 2 },
+        Algo::Baseline, // VB on CPU, EB on GPU-sim
+        Algo::Bridge,
+        Algo::Rand { partitions: 2 },
+        Algo::Degk { k: 2 },
     ];
     for (gname, g) in [("rgg", rgg()), ("rmat", rmat())] {
         for arch in [Arch::Cpu, Arch::GpuSim] {
             for algo in algos {
                 for &t in &thread_axis() {
-                    let color = with_threads(t, || vertex_coloring(&g, algo, arch, 11)).color;
+                    let color = with_threads(t, || {
+                        vertex_coloring_opts(&g, algo, arch, 11, &SolveOpts::default())
+                    })
+                    .color;
                     check_coloring(&g, &color).unwrap_or_else(|e| {
                         panic!("{gname} / {algo:?} / {arch} @ {t} threads: {e}")
                     });
@@ -87,17 +93,19 @@ fn coloring_verifier_clean_at_every_width() {
 #[test]
 fn mis_verifier_clean_at_every_width() {
     let algos = [
-        MisAlgorithm::Baseline, // Luby on both archs
-        MisAlgorithm::Bridge,
-        MisAlgorithm::Rand { partitions: 4 },
-        MisAlgorithm::Degk { k: 2 }, // oriented solver on the low subgraph
+        Algo::Baseline, // Luby on both archs
+        Algo::Bridge,
+        Algo::Rand { partitions: 4 },
+        Algo::Degk { k: 2 }, // oriented solver on the low subgraph
     ];
     for (gname, g) in [("rgg", rgg()), ("rmat", rmat())] {
         for arch in [Arch::Cpu, Arch::GpuSim] {
             for algo in algos {
                 for &t in &thread_axis() {
-                    let in_set =
-                        with_threads(t, || maximal_independent_set(&g, algo, arch, 11)).in_set;
+                    let in_set = with_threads(t, || {
+                        maximal_independent_set_opts(&g, algo, arch, 11, &SolveOpts::default())
+                    })
+                    .in_set;
                     check_maximal_independent_set(&g, &in_set).unwrap_or_else(|e| {
                         panic!("{gname} / {algo:?} / {arch} @ {t} threads: {e}")
                     });
@@ -153,7 +161,7 @@ fn verifiers_catch_planted_violations_at_every_width() {
     color[e[0] as usize] = 3;
     color[e[1] as usize] = 3;
 
-    let mate = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 5).mate;
+    let mate = maximal_matching_opts(&g, Algo::Baseline, Arch::Cpu, 5, &SolveOpts::default()).mate;
     let mut broken_mate = mate.clone();
     // Unmatch one matched pair: edge (v, mate[v]) then extends the matching.
     let v = (0..g.num_vertices()).find(|&v| mate[v] != INVALID).unwrap();
@@ -182,6 +190,7 @@ fn verifiers_catch_planted_violations_at_every_width() {
 /// instead of hanging the suite. Every iteration must be verifier-clean.
 #[test]
 fn stress_mm_rand_and_mis_degk_at_max_threads() {
+    let opts = SolveOpts::default();
     let iters: usize = std::env::var("SBREAK_STRESS_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -195,10 +204,17 @@ fn stress_mm_rand_and_mis_degk_at_max_threads() {
         with_threads(threads, || {
             for i in 0..iters {
                 let seed = 100 + i as u64;
-                let r = maximal_matching(&g, MmAlgorithm::Rand { partitions: 10 }, Arch::Cpu, seed);
+                let r = maximal_matching_opts(
+                    &g,
+                    Algo::Rand { partitions: 10 },
+                    Arch::Cpu,
+                    seed,
+                    &opts,
+                );
                 check_maximal_matching(&g, &r.mate)
                     .unwrap_or_else(|e| panic!("MM-Rand iter {i}: {e}"));
-                let m = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, seed);
+                let m =
+                    maximal_independent_set_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, seed, &opts);
                 check_maximal_independent_set(&g, &m.in_set)
                     .unwrap_or_else(|e| panic!("MIS-Deg2 iter {i}: {e}"));
             }

@@ -49,23 +49,25 @@ fn rand_decomposition_is_seed_pure() {
 
 #[test]
 fn solvers_reproducible_per_seed() {
+    let opts = SolveOpts::default();
     let g = graph();
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let m1 = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, arch, 4).mate;
-        let m2 = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, arch, 4).mate;
+        let m1 = maximal_matching_opts(&g, Algo::Rand { partitions: 5 }, arch, 4, &opts).mate;
+        let m2 = maximal_matching_opts(&g, Algo::Rand { partitions: 5 }, arch, 4, &opts).mate;
         assert_eq!(m1, m2, "matching not reproducible on {arch}");
 
-        let i1 = maximal_independent_set(&g, MisAlgorithm::Baseline, arch, 4).in_set;
-        let i2 = maximal_independent_set(&g, MisAlgorithm::Baseline, arch, 4).in_set;
+        let i1 = maximal_independent_set_opts(&g, Algo::Baseline, arch, 4, &opts).in_set;
+        let i2 = maximal_independent_set_opts(&g, Algo::Baseline, arch, 4, &opts).in_set;
         assert_eq!(i1, i2, "MIS not reproducible on {arch}");
     }
 }
 
 #[test]
 fn different_seeds_differ() {
+    let opts = SolveOpts::default();
     let g = graph();
-    let i1 = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 1).in_set;
-    let i2 = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 2).in_set;
+    let i1 = maximal_independent_set_opts(&g, Algo::Baseline, Arch::Cpu, 1, &opts).in_set;
+    let i2 = maximal_independent_set_opts(&g, Algo::Baseline, Arch::Cpu, 2, &opts).in_set;
     assert_ne!(i1, i2, "seeds should perturb Luby's choices");
 }
 
@@ -76,6 +78,7 @@ fn seed_deterministic_solvers_thread_invariant() {
     // any interleaving of a round commits the same decisions. VB coloring
     // is deliberately absent — its speculative color-then-fix loop resolves
     // conflicts in an interleaving-dependent order.
+    let opts = SolveOpts::default();
     let g = graph();
     let n = wide();
 
@@ -83,17 +86,21 @@ fn seed_deterministic_solvers_thread_invariant() {
         // GM (CPU) / LMAX (GPU-sim), and the composites over deterministic
         // decompositions (RAND hash-partition, DEGk classification).
         for algo in [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Rand { partitions: 5 },
-            MmAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Rand { partitions: 5 },
+            Algo::Degk { k: 2 },
         ] {
-            let one = with_threads(1, || maximal_matching(&g, algo, arch, 4).mate);
-            let many = with_threads(n, || maximal_matching(&g, algo, arch, 4).mate);
+            let one = with_threads(1, || maximal_matching_opts(&g, algo, arch, 4, &opts).mate);
+            let many = with_threads(n, || maximal_matching_opts(&g, algo, arch, 4, &opts).mate);
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
-        for algo in [MisAlgorithm::Baseline, MisAlgorithm::Degk { k: 2 }] {
-            let one = with_threads(1, || maximal_independent_set(&g, algo, arch, 4).in_set);
-            let many = with_threads(n, || maximal_independent_set(&g, algo, arch, 4).in_set);
+        for algo in [Algo::Baseline, Algo::Degk { k: 2 }] {
+            let one = with_threads(1, || {
+                maximal_independent_set_opts(&g, algo, arch, 4, &opts).in_set
+            });
+            let many = with_threads(n, || {
+                maximal_independent_set_opts(&g, algo, arch, 4, &opts).in_set
+            });
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
     }
@@ -114,7 +121,7 @@ fn round_and_launch_counts_thread_invariant() {
 
     let lmax = |threads| {
         with_threads(threads, || {
-            maximal_matching(&g, MmAlgorithm::Baseline, Arch::GpuSim, 7)
+            maximal_matching_opts(&g, Algo::Baseline, Arch::GpuSim, 7, &SolveOpts::default())
                 .stats
                 .counters
         })
@@ -130,12 +137,12 @@ fn round_and_launch_counts_thread_invariant() {
     let traced_rounds = |threads: usize| {
         with_threads(threads, || {
             let sink = std::sync::Arc::new(TraceSink::enabled());
-            maximal_independent_set_traced(
+            maximal_independent_set_opts(
                 &g,
-                MisAlgorithm::Baseline,
+                Algo::Baseline,
                 Arch::Cpu,
                 7,
-                Some(sink.clone()),
+                &SolveOpts::traced(Some(sink.clone())),
             );
             symmetry_breaking::trace::rounds_per_phase(&sink.events())
         })
@@ -158,7 +165,7 @@ fn productive_round_counts_frontier_mode_invariant() {
     let g = graph();
     let n = wide();
 
-    let traced = |algo: MmAlgorithm, mode: FrontierMode, threads: usize| {
+    let traced = |algo: Algo, mode: FrontierMode, threads: usize| {
         with_threads(threads, || {
             let sink = std::sync::Arc::new(TraceSink::enabled());
             let opts = SolveOpts {
@@ -170,9 +177,9 @@ fn productive_round_counts_frontier_mode_invariant() {
         })
     };
     for algo in [
-        MmAlgorithm::Baseline,
-        MmAlgorithm::Rand { partitions: 5 },
-        MmAlgorithm::Degk { k: 2 },
+        Algo::Baseline,
+        Algo::Rand { partitions: 5 },
+        Algo::Degk { k: 2 },
     ] {
         let dense = traced(algo, FrontierMode::Dense, 1);
         for (mode, threads) in [
@@ -198,11 +205,12 @@ fn solver_output_invariant_under_both_claim_strategies() {
     // decisions made inside them: solver output must be identical at any
     // width under either scheduler, in every frontier mode. This is the
     // determinism pin the stealing scheduler ships behind.
+    let opts = SolveOpts::default();
     let g = graph();
     let n = wide();
     let before = schedule_strategy();
 
-    let reference = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 4).in_set;
+    let reference = maximal_independent_set_opts(&g, Algo::Baseline, Arch::Cpu, 4, &opts).in_set;
     for strat in [ScheduleStrategy::Stealing, ScheduleStrategy::GlobalCounter] {
         set_schedule_strategy(strat);
         for mode in [
@@ -214,7 +222,7 @@ fn solver_output_invariant_under_both_claim_strategies() {
                 with_threads(threads, || {
                     maximal_independent_set_opts(
                         &g,
-                        MisAlgorithm::Baseline,
+                        Algo::Baseline,
                         Arch::Cpu,
                         4,
                         &SolveOpts::with_mode(mode),
@@ -231,10 +239,10 @@ fn solver_output_invariant_under_both_claim_strategies() {
             );
         }
         let one = with_threads(1, || {
-            maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, Arch::Cpu, 4).mate
+            maximal_matching_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 4, &opts).mate
         });
         let many = with_threads(n, || {
-            maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, Arch::Cpu, 4).mate
+            maximal_matching_opts(&g, Algo::Degk { k: 2 }, Arch::Cpu, 4, &opts).mate
         });
         assert_eq!(one, many, "{strat:?}: GM/degk 1 vs {n} threads differ");
     }
@@ -245,8 +253,9 @@ fn solver_output_invariant_under_both_claim_strategies() {
 fn deterministic_algorithms_ignore_seed() {
     // GM (lowest-id) and the oriented MIS are deterministic by design; the
     // seed only affects the decomposition in their composites.
+    let opts = SolveOpts::default();
     let g = graph();
-    let a = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 1).mate;
-    let b = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 2).mate;
+    let a = maximal_matching_opts(&g, Algo::Baseline, Arch::Cpu, 1, &opts).mate;
+    let b = maximal_matching_opts(&g, Algo::Baseline, Arch::Cpu, 2, &opts).mate;
     assert_eq!(a, b, "GM is seedless and must not vary");
 }

@@ -35,11 +35,11 @@ fn wide() -> usize {
         .max(1)
 }
 
-fn mm(g: &Graph, algo: MmAlgorithm, arch: Arch, mode: FrontierMode) -> MatchingRun {
+fn mm(g: &Graph, algo: Algo, arch: Arch, mode: FrontierMode) -> MatchingRun {
     maximal_matching_opts(g, algo, arch, 7, &SolveOpts::with_mode(mode))
 }
 
-fn mis(g: &Graph, algo: MisAlgorithm, arch: Arch, mode: FrontierMode) -> MisRun {
+fn mis(g: &Graph, algo: Algo, arch: Arch, mode: FrontierMode) -> MisRun {
     maximal_independent_set_opts(g, algo, arch, 7, &SolveOpts::with_mode(mode))
 }
 
@@ -49,9 +49,9 @@ fn gm_matching_frontier_byte_identical_to_dense() {
     for threads in [1, wide()] {
         with_threads(threads, || {
             for algo in [
-                MmAlgorithm::Baseline,
-                MmAlgorithm::Rand { partitions: 5 },
-                MmAlgorithm::Degk { k: 2 },
+                Algo::Baseline,
+                Algo::Rand { partitions: 5 },
+                Algo::Degk { k: 2 },
             ] {
                 let dense = mm(&g, algo, Arch::Cpu, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::Cpu, FrontierMode::Compact).mate;
@@ -77,21 +77,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_full_view() {
     let g = graph();
     for threads in [1, wide()] {
         with_threads(threads, || {
-            let dense = mm(&g, MmAlgorithm::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
-            let compact = mm(
-                &g,
-                MmAlgorithm::Baseline,
-                Arch::GpuSim,
-                FrontierMode::Compact,
-            )
-            .mate;
-            let bitset = mm(
-                &g,
-                MmAlgorithm::Baseline,
-                Arch::GpuSim,
-                FrontierMode::Bitset,
-            )
-            .mate;
+            let dense = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
+            let compact = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Compact).mate;
+            let bitset = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Bitset).mate;
             assert_eq!(
                 dense, compact,
                 "LMAX dense/compact diverged at {threads} threads"
@@ -115,10 +103,7 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_masked_views() {
     let g = graph();
     for threads in [1, wide()] {
         with_threads(threads, || {
-            for algo in [
-                MmAlgorithm::Rand { partitions: 5 },
-                MmAlgorithm::Degk { k: 2 },
-            ] {
+            for algo in [Algo::Rand { partitions: 5 }, Algo::Degk { k: 2 }] {
                 let dense = mm(&g, algo, Arch::GpuSim, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::GpuSim, FrontierMode::Compact).mate;
                 let bitset = mm(&g, algo, Arch::GpuSim, FrontierMode::Bitset).mate;
@@ -142,7 +127,7 @@ fn luby_mis_frontier_byte_identical_to_dense() {
     for threads in [1, wide()] {
         with_threads(threads, || {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                for algo in [MisAlgorithm::Baseline, MisAlgorithm::Rand { partitions: 5 }] {
+                for algo in [Algo::Baseline, Algo::Rand { partitions: 5 }] {
                     let dense = mis(&g, algo, arch, FrontierMode::Dense).in_set;
                     let compact = mis(&g, algo, arch, FrontierMode::Compact).in_set;
                     let bitset = mis(&g, algo, arch, FrontierMode::Bitset).in_set;
@@ -167,7 +152,7 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
     with_threads(1, || {
         let dense = vertex_coloring_opts(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Dense),
@@ -175,7 +160,7 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
         .color;
         let compact = vertex_coloring_opts(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Compact),
@@ -183,7 +168,7 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
         .color;
         let bitset = vertex_coloring_opts(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Bitset),
@@ -200,7 +185,7 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
         ] {
             let run = vertex_coloring_opts(
                 &g,
-                ColorAlgorithm::Baseline,
+                Algo::Baseline,
                 Arch::Cpu,
                 7,
                 &SolveOpts::with_mode(mode),
@@ -215,9 +200,9 @@ fn compact_mode_scans_fewer_edges() {
     // Compact must beat dense outright; bitset holds the same member sets
     // as compact, so its logical edge work must not exceed compact's.
     let g = graph();
-    let dense = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
-    let compact = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Bitset);
+    let dense = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let compact = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
+    let bitset = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "GM compact scanned {} edges, dense {}",
@@ -230,9 +215,9 @@ fn compact_mode_scans_fewer_edges() {
         bitset.stats.counters.edges_scanned,
         compact.stats.counters.edges_scanned,
     );
-    let dense = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
-    let compact = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Bitset);
+    let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let compact = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
+    let bitset = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "Luby compact scanned {} edges, dense {}",
@@ -257,7 +242,7 @@ fn frontier_rounds_shrink_monotonically() {
         trace: Some(sink.clone()),
         frontier: FrontierMode::Compact,
     };
-    maximal_independent_set_opts(&g, MisAlgorithm::Baseline, Arch::Cpu, 7, &opts);
+    maximal_independent_set_opts(&g, Algo::Baseline, Arch::Cpu, 7, &opts);
     let rounds: Vec<_> = sink
         .events()
         .into_iter()
@@ -325,17 +310,12 @@ fn scratch_arena_stops_allocating_after_first_solve() {
 #[test]
 fn runstats_carry_the_scratch_arena_snapshot() {
     let g = graph();
-    let run = mis(
-        &g,
-        MisAlgorithm::Degk { k: 2 },
-        Arch::Cpu,
-        FrontierMode::Compact,
-    );
+    let run = mis(&g, Algo::Degk { k: 2 }, Arch::Cpu, FrontierMode::Compact);
     assert!(
         run.stats.scratch.fresh_allocs > 0,
         "a compact-mode run must report its arena allocations via RunStats"
     );
-    let dense = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     // Dense baselines may legitimately use no scratch; the field still
     // reads as an explicit zero rather than being absent.
     let _ = dense.stats.scratch.reuses;

@@ -10,10 +10,8 @@
 
 use sb_bench::harness::{load_suite, BenchConfig};
 use sb_bench::{runners, schemas};
-use sb_core::coloring::ColorAlgorithm;
 use sb_core::common::{Arch, FrontierMode};
-use sb_core::matching::MmAlgorithm;
-use sb_core::mis::MisAlgorithm;
+use sb_core::Algo;
 use sb_datasets::suite::Scale;
 use sb_engine::protocol::{MutateParams, SolveParams};
 use sb_engine::{
@@ -149,9 +147,9 @@ fn engine_batch_report_json_shape_is_pinned() {
         timeout_ms: None,
     };
     let jobs = [
-        job("mm", Solver::Mm(MmAlgorithm::Rand { partitions: 4 })),
-        job("color", Solver::Color(ColorAlgorithm::Degk { k: 2 })),
-        job("mis", Solver::Mis(MisAlgorithm::Degk { k: 2 })),
+        job("mm", Solver::Mm(Algo::Rand { partitions: 4 })),
+        job("color", Solver::Color(Algo::Degk { k: 2 })),
+        job("mis", Solver::Mis(Algo::Degk { k: 2 })),
     ];
     let report = run_batch_compare(&jobs, EngineConfig::default(), &BatchOptions::default())
         .expect("batch must run");

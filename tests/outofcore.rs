@@ -160,29 +160,16 @@ fn mapped_solver_outputs_are_byte_identical_to_heap() {
         ] {
             let opts = SolveOpts::with_mode(mode);
             symmetry_breaking::par::exec::with_threads(threads, || {
-                let a = maximal_matching_opts(&heap, MmAlgorithm::Baseline, Arch::Cpu, 3, &opts);
-                let b = maximal_matching_opts(&mapped, MmAlgorithm::Baseline, Arch::Cpu, 3, &opts);
+                let a = maximal_matching_opts(&heap, Algo::Baseline, Arch::Cpu, 3, &opts);
+                let b = maximal_matching_opts(&mapped, Algo::Baseline, Arch::Cpu, 3, &opts);
                 assert_eq!(a.mate, b.mate, "GM t={threads} mode={mode:?}");
 
-                let a = maximal_independent_set_opts(
-                    &heap,
-                    MisAlgorithm::Baseline,
-                    Arch::Cpu,
-                    3,
-                    &opts,
-                );
-                let b = maximal_independent_set_opts(
-                    &mapped,
-                    MisAlgorithm::Baseline,
-                    Arch::Cpu,
-                    3,
-                    &opts,
-                );
+                let a = maximal_independent_set_opts(&heap, Algo::Baseline, Arch::Cpu, 3, &opts);
+                let b = maximal_independent_set_opts(&mapped, Algo::Baseline, Arch::Cpu, 3, &opts);
                 assert_eq!(a.in_set, b.in_set, "Luby t={threads} mode={mode:?}");
 
-                let a = vertex_coloring_opts(&heap, ColorAlgorithm::Baseline, Arch::Cpu, 3, &opts);
-                let b =
-                    vertex_coloring_opts(&mapped, ColorAlgorithm::Baseline, Arch::Cpu, 3, &opts);
+                let a = vertex_coloring_opts(&heap, Algo::Baseline, Arch::Cpu, 3, &opts);
+                let b = vertex_coloring_opts(&mapped, Algo::Baseline, Arch::Cpu, 3, &opts);
                 assert_eq!(a.color, b.color, "JP t={threads} mode={mode:?}");
             });
         }
@@ -206,13 +193,7 @@ fn renumber_permutation_round_trips_through_the_file() {
     }
 
     // Labels computed on the renumbered graph map back to original ids.
-    let run = vertex_coloring_opts(
-        &mapped,
-        ColorAlgorithm::Baseline,
-        Arch::Cpu,
-        3,
-        &SolveOpts::default(),
-    );
+    let run = vertex_coloring_opts(&mapped, Algo::Baseline, Arch::Cpu, 3, &SolveOpts::default());
     let back = unpermute_labels(&run.color, &stored);
     check_coloring(&g, &back).unwrap();
 }

@@ -64,13 +64,13 @@ proptest! {
     #[test]
     fn matchings_always_maximal(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Bridge,
-            MmAlgorithm::Rand { partitions: 3 },
-            MmAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_matching(&g, algo, arch, seed);
+                let run = maximal_matching_opts(&g, algo, arch, seed, &SolveOpts::default());
                 check_maximal_matching(&g, &run.mate)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -80,13 +80,13 @@ proptest! {
     #[test]
     fn colorings_always_proper(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            ColorAlgorithm::Baseline,
-            ColorAlgorithm::Bridge,
-            ColorAlgorithm::Rand { partitions: 3 },
-            ColorAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = vertex_coloring(&g, algo, arch, seed);
+                let run = vertex_coloring_opts(&g, algo, arch, seed, &SolveOpts::default());
                 check_coloring(&g, &run.color)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -96,13 +96,13 @@ proptest! {
     #[test]
     fn mis_always_maximal_independent(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            MisAlgorithm::Baseline,
-            MisAlgorithm::Bridge,
-            MisAlgorithm::Rand { partitions: 3 },
-            MisAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_independent_set(&g, algo, arch, seed);
+                let run = maximal_independent_set_opts(&g, algo, arch, seed, &SolveOpts::default());
                 check_maximal_independent_set(&g, &run.in_set)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -290,6 +290,7 @@ proptest! {
 
 #[test]
 fn rand_partition_with_more_parts_than_vertices() {
+    let opts = SolveOpts::default();
     let g = from_edge_list(3, &[(0, 1), (1, 2)]);
     for k in [4, 16, 100] {
         let d = decompose_rand(&g, k, 7, &Counters::new());
@@ -298,9 +299,10 @@ fn rand_partition_with_more_parts_than_vertices() {
         assert_eq!(d.m_induced + d.m_cross, g.num_edges());
         // Solves over the oversplit decomposition still finish and verify.
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: k }, arch, 7);
+            let run = maximal_matching_opts(&g, Algo::Rand { partitions: k }, arch, 7, &opts);
             check_maximal_matching(&g, &run.mate).unwrap();
-            let run = maximal_independent_set(&g, MisAlgorithm::Rand { partitions: k }, arch, 7);
+            let run =
+                maximal_independent_set_opts(&g, Algo::Rand { partitions: k }, arch, 7, &opts);
             check_maximal_independent_set(&g, &run.in_set).unwrap();
         }
     }
@@ -308,6 +310,7 @@ fn rand_partition_with_more_parts_than_vertices() {
 
 #[test]
 fn degk_on_all_isolated_vertices() {
+    let opts = SolveOpts::default();
     let g = Graph::empty(6);
     for k in [0, 2, 5] {
         let d = decompose_degk(&g, k, &Counters::new());
@@ -315,27 +318,28 @@ fn degk_on_all_isolated_vertices() {
         assert_eq!(d.m_high + d.m_low + d.m_cross, 0);
     }
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let run = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, arch, 7);
+        let run = maximal_independent_set_opts(&g, Algo::Degk { k: 2 }, arch, 7, &opts);
         assert!(
             run.in_set.iter().all(|&b| b),
             "isolated vertices all join the MIS"
         );
-        let run = maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, arch, 7);
+        let run = maximal_matching_opts(&g, Algo::Degk { k: 2 }, arch, 7, &opts);
         check_maximal_matching(&g, &run.mate).unwrap();
     }
 }
 
 #[test]
 fn bridge_on_empty_and_fully_disconnected_graphs() {
+    let opts = SolveOpts::default();
     for g in [Graph::empty(0), Graph::empty(1), Graph::empty(8)] {
         let d = decompose_bridge(&g, &Counters::new());
         assert!(d.bridges.is_empty());
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let mm = maximal_matching(&g, MmAlgorithm::Bridge, arch, 7);
+            let mm = maximal_matching_opts(&g, Algo::Bridge, arch, 7, &opts);
             check_maximal_matching(&g, &mm.mate).unwrap();
-            let mis = maximal_independent_set(&g, MisAlgorithm::Bridge, arch, 7);
+            let mis = maximal_independent_set_opts(&g, Algo::Bridge, arch, 7, &opts);
             check_maximal_independent_set(&g, &mis.in_set).unwrap();
-            let col = vertex_coloring(&g, ColorAlgorithm::Bridge, arch, 7);
+            let col = vertex_coloring_opts(&g, Algo::Bridge, arch, 7, &opts);
             check_coloring(&g, &col.color).unwrap();
         }
     }
@@ -347,11 +351,11 @@ fn single_vertex_and_single_edge_solves() {
         for arch in [Arch::Cpu, Arch::GpuSim] {
             for mode in [FrontierMode::Dense, FrontierMode::Compact] {
                 let opts = SolveOpts::with_mode(mode);
-                let mm = maximal_matching_opts(&g, MmAlgorithm::Baseline, arch, 7, &opts);
+                let mm = maximal_matching_opts(&g, Algo::Baseline, arch, 7, &opts);
                 check_maximal_matching(&g, &mm.mate).unwrap();
-                let mis = maximal_independent_set_opts(&g, MisAlgorithm::Baseline, arch, 7, &opts);
+                let mis = maximal_independent_set_opts(&g, Algo::Baseline, arch, 7, &opts);
                 check_maximal_independent_set(&g, &mis.in_set).unwrap();
-                let col = vertex_coloring_opts(&g, ColorAlgorithm::Baseline, arch, 7, &opts);
+                let col = vertex_coloring_opts(&g, Algo::Baseline, arch, 7, &opts);
                 check_coloring(&g, &col.color).unwrap();
             }
         }

@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks for the frontier-compaction primitive:
-//! `compact_active` (two-pass blocked count + scatter) against the naive
-//! dense scan (`filter` + `collect` over the whole index range), across
-//! worklist sizes and survivor densities, plus an end-to-end dense vs
-//! compact solve of LubyMIS (the DESIGN.md §10 headline comparison).
+//! `BitFrontier::reset_range` + `retain` (a word-parallel rebuild, then a
+//! per-live-word filter) against the naive dense scan (`filter` + `collect` over the
+//! whole index range), across universe sizes and survivor densities, plus
+//! an end-to-end dense vs compact solve of LubyMIS (the DESIGN.md §10
+//! headline comparison).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::mis::maximal_independent_set_opts;
 use sb_core::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
-use sb_par::frontier::compact_active;
+use sb_par::frontier::BitFrontier;
 use sb_par::rng::hash3;
 use std::hint::black_box;
 
@@ -24,13 +25,14 @@ fn bench_compact_primitive(c: &mut Criterion) {
             let threshold = u64::MAX / 100 * keep_pct;
             let keep = move |v: u32| hash3(9, 9, v as u64) < threshold;
             group.bench_with_input(
-                BenchmarkId::new(format!("compact_active/{keep_pct}pct"), n),
-                &src,
-                |b, src| {
-                    let mut dst = Vec::new();
+                BenchmarkId::new(format!("bit_frontier_retain/{keep_pct}pct"), n),
+                &n,
+                |b, &n| {
+                    let mut live = BitFrontier::new();
                     b.iter(|| {
-                        compact_active(src, keep, &mut dst);
-                        black_box(dst.len())
+                        live.reset_range(n, |_| true);
+                        live.retain(keep);
+                        black_box(live.len())
                     })
                 },
             );
@@ -53,11 +55,7 @@ fn bench_mode_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("frontier_mode");
     group.sample_size(10);
     let g = generate(GraphId::Rgg23, Scale::Factor(0.2), 42);
-    for mode in [
-        FrontierMode::Dense,
-        FrontierMode::Compact,
-        FrontierMode::Bitset,
-    ] {
+    for mode in [FrontierMode::Dense, FrontierMode::Compact] {
         let opts = SolveOpts::with_mode(mode);
         group.bench_function(format!("luby/{mode}"), |b| {
             b.iter(|| {

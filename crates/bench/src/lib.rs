@@ -15,14 +15,14 @@
 //! | `ablate_iterations` | §III-C iteration-count narrative (vain tendency) |
 //! | `ablate_bicc` | extension: BRIDGE vs BICC composites |
 //! | `ablate_threads` | extension: strong scaling over rayon pool sizes |
-//! | `ablate_frontier` | extension: dense full-sweep rounds vs compacted worklists (writes `results/BENCH_frontier.json`, self-asserts the edge-scan reduction) |
+//! | `ablate_frontier` | extension: dense full-sweep rounds vs compacted bitset live sets (writes `results/BENCH_frontier.json`, self-asserts the edge-scan reduction) |
 //! | `model_report` | GPU cost-model audit: raw counter breakdown per algorithm |
 //!
 //! Shared flags (all binaries): `--scale <f>` (dataset size multiplier,
 //! default 1.0), `--seed <u64>`, `--graphs <substring>` (filter), `--reps
 //! <n>` (timing repetitions, minimum is reported), `--data-dir <path>`
 //! (directory of real SuiteSparse `.mtx` files, used when present),
-//! `--frontier dense|compact|bitset` (solver round representation, default
+//! `--frontier dense|compact` (solver round representation, default
 //! `compact`). Figure binaries also take `--arch cpu|gpu`.
 //!
 //! Every run verifies every solution it times and writes its table to

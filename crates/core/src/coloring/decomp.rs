@@ -21,7 +21,7 @@ use std::time::Duration;
 /// 32-bit mask). In `Dense` mode GPU phases over a filtered view
 /// materialize the piece first (streaming is cheap on-device; see
 /// `matching::base_extend`); in `Compact` mode both architectures run
-/// worklist-compacted solvers zero-copy against the masked view.
+/// frontier-compacted solvers zero-copy against the masked view.
 #[allow(clippy::too_many_arguments)]
 fn base_color_extend(
     g: &Graph,
@@ -55,14 +55,6 @@ fn base_color_extend(
         (Arch::GpuSim, FrontierMode::Compact) => {
             let exec = BspExecutor::inheriting(counters);
             eb::eb_extend_frontier(g, view, color, worklist, base, &exec, scratch);
-            counters.merge(exec.counters());
-        }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            vb::vb_extend_bitset(g, view, color, worklist, window, base, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            eb::eb_extend_bitset(g, view, color, worklist, base, &exec, scratch);
             counters.merge(exec.counters());
         }
     }

@@ -10,7 +10,7 @@ use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::bsp::BspExecutor;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use std::sync::atomic::Ordering;
 
 /// Color every vertex in `targets` (currently uncolored), respecting
@@ -99,8 +99,8 @@ pub fn eb_extend(
 }
 
 /// Frontier form of [`eb_extend`]: the speculative kernel runs over a
-/// compacted worklist of still-uncolored targets, and conflict detection
-/// runs over a *live edge list* — admitted edges whose endpoints are both
+/// compacted bitset of still-uncolored targets, and conflict detection
+/// runs over a *live edge set* — admitted edges whose endpoints are both
 /// uncolored targets — instead of the full device-wide edge sweep, killing
 /// the dense form's per-round `2m` edge charge.
 ///
@@ -123,33 +123,6 @@ pub fn eb_extend_frontier(
     exec: &BspExecutor,
     scratch: &mut Scratch,
 ) {
-    eb_extend_frontier_impl::<Frontier>(g, view, color, targets, base, exec, scratch);
-}
-
-/// Bitset form of [`eb_extend_frontier`] (the [`BitFrontier`]
-/// instantiation): both the vertex live set and the live *edge* set are
-/// held as u64 bitset words over their respective index spaces.
-pub fn eb_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    targets: Vec<VertexId>,
-    base: u32,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    eb_extend_frontier_impl::<BitFrontier>(g, view, color, targets, base, exec, scratch);
-}
-
-fn eb_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    targets: Vec<VertexId>,
-    base: u32,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(color.len(), n);
     let mut offset = scratch.take_u32(n, base);
@@ -157,10 +130,10 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
     for &v in &targets {
         is_target[v as usize] = 1;
     }
-    let mut vfront = W::take(scratch);
+    let mut vfront = scratch.take_frontier();
     vfront.reset_from(&targets, n);
     let edges = g.edge_list();
-    let mut efront = W::take(scratch);
+    let mut efront = scratch.take_frontier();
     {
         let color_ro: &[u32] = color;
         let is_t: &[u8] = &is_target;
@@ -237,8 +210,8 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
     }
     scratch.recycle_u32(offset);
     scratch.recycle_u8(is_target);
-    vfront.recycle(scratch);
-    efront.recycle(scratch);
+    scratch.recycle_frontier(vfront);
+    scratch.recycle_frontier(efront);
 }
 
 /// Fresh EB coloring of the whole graph.

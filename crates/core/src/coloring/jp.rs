@@ -9,11 +9,10 @@
 //! Hasenplaugh et al. (the paper's reference \[14\]): largest-degree-first
 //! and smallest-degree-last.
 
-use crate::common::FrontierMode;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_par::atomic::as_atomic_u32;
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
@@ -84,52 +83,25 @@ fn priorities(g: &Graph, ordering: JpOrdering, seed: u64, counters: &Counters) -
 }
 
 /// Color `g` with Jones–Plassmann under the given ordering heuristic.
+///
+/// JP's live set *is* its frontier (there is no separate dense sweep), so
+/// the rounds always run over a compacted `sb_par::frontier::BitFrontier`.
+/// Outputs are byte-identical across thread counts: decisions are
+/// double-buffered through a proposal array, so they depend only on
+/// pre-round colors, never on iteration order.
 pub fn jp_color_ordered(
     g: &Graph,
     ordering: JpOrdering,
     seed: u64,
     counters: &Counters,
 ) -> Vec<u32> {
-    jp_color_ordered_opts(g, ordering, seed, counters, FrontierMode::default())
-}
-
-/// [`jp_color_ordered`] with an explicit live-set representation. `Dense`
-/// and `Compact` run the worklist form (JP's worklist *is* its frontier —
-/// there is no separate dense sweep); `Bitset` runs the identical rounds
-/// over a [`BitFrontier`]. Outputs are byte-identical across modes and
-/// thread counts: decisions are double-buffered through a proposal array,
-/// so they depend only on pre-round colors, never on iteration order.
-pub fn jp_color_ordered_opts(
-    g: &Graph,
-    ordering: JpOrdering,
-    seed: u64,
-    counters: &Counters,
-    mode: FrontierMode,
-) -> Vec<u32> {
     let mut scratch = Scratch::new();
-    match mode {
-        FrontierMode::Dense | FrontierMode::Compact => {
-            jp_color_ordered_impl::<Frontier>(g, ordering, seed, counters, &mut scratch)
-        }
-        FrontierMode::Bitset => {
-            jp_color_ordered_impl::<BitFrontier>(g, ordering, seed, counters, &mut scratch)
-        }
-    }
-}
-
-fn jp_color_ordered_impl<W: ActiveSet>(
-    g: &Graph,
-    ordering: JpOrdering,
-    seed: u64,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) -> Vec<u32> {
     let n = g.num_vertices();
     let keys = priorities(g, ordering, seed, counters);
     let prio = |v: VertexId| (keys[v as usize], v);
     let mut color = vec![INVALID; n];
     let mut proposal = scratch.take_u32(n, INVALID);
-    let mut work = W::take(scratch);
+    let mut work = scratch.take_frontier();
     work.reset_range(n, |_| true);
 
     while !work.is_empty() {
@@ -185,8 +157,6 @@ fn jp_color_ordered_impl<W: ActiveSet>(
         }
         counters.finish_round(round, || (before - work.len()) as u64);
     }
-    work.recycle(scratch);
-    scratch.recycle_u32(proposal);
     color
 }
 

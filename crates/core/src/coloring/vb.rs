@@ -18,7 +18,7 @@ use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use std::sync::atomic::Ordering;
 
 /// Color every vertex in `worklist` (which must currently be uncolored),
@@ -122,12 +122,12 @@ pub fn vb_extend(
 }
 
 /// Frontier form of [`vb_extend`]: the same speculative rounds over a
-/// ping-pong compacted worklist, with the per-call `offset` array borrowed
+/// compacted bitset live set, with the per-call `offset` array borrowed
 /// from `scratch` instead of freshly allocated.
 ///
 /// The round logic is statement-for-statement the dense form's (speculate,
 /// bump saturated windows, keep conflicted vertices); the only change is
-/// that the retry worklist is produced by [`sb_par::Frontier::compact`]
+/// that the retry set is produced by [`sb_par::BitFrontier::retain`]
 /// rather than a fresh `collect`. On one thread the outputs are
 /// byte-identical to [`vb_extend`]; across threads VB is the documented
 /// interleaving-dependent exception (it reads live colors), in both modes.
@@ -142,42 +142,9 @@ pub fn vb_extend_frontier(
     counters: &Counters,
     scratch: &mut Scratch,
 ) {
-    vb_extend_frontier_impl::<Frontier>(g, view, color, worklist, window, base, counters, scratch);
-}
-
-/// Bitset form of [`vb_extend_frontier`] (the [`BitFrontier`]
-/// instantiation). Same 1-thread byte-identity / N-thread
-/// interleaving-dependence caveats as the worklist form.
-#[allow(clippy::too_many_arguments)]
-pub fn vb_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    worklist: Vec<VertexId>,
-    window: usize,
-    base: u32,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
-    vb_extend_frontier_impl::<BitFrontier>(
-        g, view, color, worklist, window, base, counters, scratch,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn vb_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    worklist: Vec<VertexId>,
-    window: usize,
-    base: u32,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
     assert!(window >= 1);
     assert_eq!(color.len(), g.num_vertices());
-    let mut work = W::take(scratch);
+    let mut work = scratch.take_frontier();
     work.reset_from(&worklist, g.num_vertices());
     let mut offset = scratch.take_u32(g.num_vertices(), base);
 
@@ -251,7 +218,7 @@ fn vb_extend_frontier_impl<W: ActiveSet>(
         counters.finish_round(round, || (before - work.len()) as u64);
     }
     scratch.recycle_u32(offset);
-    work.recycle(scratch);
+    scratch.recycle_frontier(work);
 }
 
 /// Fresh VB coloring of the whole graph with the paper's CPU window size

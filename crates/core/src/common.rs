@@ -47,26 +47,23 @@ impl std::str::FromStr for Arch {
 ///
 /// `Dense` is the paper-faithful formulation: every round sweeps the full
 /// participant list fixed at entry, skipping decided vertices with an O(1)
-/// status check. `Compact` keeps the live set as a flat worklist compacted
-/// between rounds (`sb_par::frontier`), borrows its per-call working arrays
-/// from a scratch arena, and — on the GPU-sim pipeline — runs masked solves
-/// directly against the zero-copy `EdgeView` instead of materializing an
-/// induced CSR. `Bitset` runs the same round structure as `Compact` but
-/// keeps the live set as u64 bitset words (`sb_par::frontier::BitFrontier`):
-/// iteration is a trailing-zeros walk over the nonzero words, winner masks
-/// are word-level ANDs, and compaction emits nonzero-word-index runs. All
-/// modes produce valid solutions; for GM / LMAX / Luby / VB the outputs are
-/// byte-identical across all three (pinned by `tests/frontier.rs`).
+/// status check. `Compact` keeps the live set as u64 bitset words
+/// (`sb_par::frontier::BitFrontier`) compacted between rounds: iteration is
+/// a trailing-zeros walk over the nonzero words, winner masks are
+/// word-level ANDs, and compaction emits nonzero-word-index runs. Compact
+/// runs borrow their per-call working arrays from a scratch arena and — on
+/// the GPU-sim pipeline — run masked solves directly against the zero-copy
+/// `EdgeView` instead of materializing an induced CSR. Both modes produce
+/// valid solutions; for GM / LMAX / Luby / VB the outputs are
+/// byte-identical (pinned by `tests/frontier.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontierMode {
     /// Full-sweep rounds over a participant list fixed at entry.
     Dense,
-    /// Worklist compaction between rounds + scratch-arena buffer reuse.
+    /// Bitset live sets compacted between rounds + scratch-arena buffer
+    /// reuse.
     #[default]
     Compact,
-    /// u64-bitset live sets: trailing-zeros iteration, word-mask winner
-    /// selection, word-index-run compaction.
-    Bitset,
 }
 
 impl std::fmt::Display for FrontierMode {
@@ -74,7 +71,6 @@ impl std::fmt::Display for FrontierMode {
         match self {
             FrontierMode::Dense => write!(f, "dense"),
             FrontierMode::Compact => write!(f, "compact"),
-            FrontierMode::Bitset => write!(f, "bitset"),
         }
     }
 }
@@ -86,9 +82,8 @@ impl std::str::FromStr for FrontierMode {
         match s {
             "dense" => Ok(FrontierMode::Dense),
             "compact" => Ok(FrontierMode::Compact),
-            "bitset" => Ok(FrontierMode::Bitset),
             other => Err(format!(
-                "frontier mode must be dense, compact, or bitset, got '{other}'"
+                "frontier mode must be dense or compact, got '{other}'"
             )),
         }
     }
@@ -208,6 +203,20 @@ mod tests {
         }
         let e = "tpu".parse::<Arch>().unwrap_err();
         assert!(e.contains("unknown arch 'tpu'"), "{e}");
+    }
+
+    #[test]
+    fn frontier_mode_parse_round_trips_and_rejects_unknown_labels() {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
+            assert_eq!(mode.to_string().parse::<FrontierMode>(), Ok(mode));
+        }
+        for bad in ["bitset", "sparse", ""] {
+            let e = bad.parse::<FrontierMode>().unwrap_err();
+            assert_eq!(
+                e,
+                format!("frontier mode must be dense or compact, got '{bad}'")
+            );
+        }
     }
 
     #[test]

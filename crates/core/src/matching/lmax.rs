@@ -17,7 +17,7 @@ use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::bsp::BspExecutor;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
@@ -149,7 +149,7 @@ pub fn lmax_extend_with_ids(
 }
 
 /// Frontier form of [`lmax_extend`]: the same point/match kernels per
-/// round, launched over a compacted worklist of still-unmatched
+/// round, launched over a compacted bitset live set of still-unmatched
 /// participants, with the `pointer` array borrowed from `scratch`.
 ///
 /// Byte-identical to [`lmax_extend`] for any seed and thread count: edge
@@ -170,38 +170,12 @@ pub fn lmax_extend_frontier(
     exec: &BspExecutor,
     scratch: &mut Scratch,
 ) {
-    lmax_extend_frontier_impl::<Frontier>(g, view, mate, allowed, seed, exec, scratch);
-}
-
-/// Bitset form of [`lmax_extend_frontier`] (the [`BitFrontier`]
-/// instantiation): same point/match kernels, live set as u64 bitset words.
-pub fn lmax_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    lmax_extend_frontier_impl::<BitFrontier>(g, view, mate, allowed, seed, exec, scratch);
-}
-
-fn lmax_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(mate.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
     let weight = |e: u32| (hash2(seed, e as u64), e);
 
-    let mut live = W::take(scratch);
+    let mut live = scratch.take_frontier();
     {
         let mate_ro: &[u32] = mate;
         live.reset_range(n, |v| {
@@ -273,7 +247,7 @@ fn lmax_extend_frontier_impl<W: ActiveSet>(
         }
     }
     scratch.recycle_u32(pointer);
-    live.recycle(scratch);
+    scratch.recycle_frontier(live);
 }
 
 #[cfg(test)]

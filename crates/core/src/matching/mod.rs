@@ -69,7 +69,7 @@ pub fn maximal_matching_opts(
 /// counters (and hence to the modeled device time).
 /// In `Compact` mode the GPU pipeline instead runs the frontier LMAX
 /// zero-copy against the masked view: per-arc admit checks ride along the
-/// already-compacted worklist sweeps, so no induced CSR is built. Both
+/// already-compacted live-set sweeps, so no induced CSR is built. Both
 /// paths key LMAX edge weights by *original* edge id — the dense path
 /// carries the new-id → original-id map of the materialization — so dense
 /// and compact are byte-identical on masked views too (pinned by
@@ -115,14 +115,6 @@ pub(crate) fn base_extend(
         (Arch::GpuSim, FrontierMode::Compact) => {
             let exec = BspExecutor::inheriting(counters);
             lmax::lmax_extend_frontier(g, view, mate, allowed, seed, &exec, scratch);
-            counters.merge(exec.counters());
-        }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            gm::gm_extend_bitset(g, view, mate, allowed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            lmax::lmax_extend_bitset(g, view, mate, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
     }

@@ -1,10 +1,7 @@
 //! Decomposition-based MIS (Algorithms 10–12 of the paper).
 
-use super::luby::{
-    luby_extend, luby_extend_bitset, luby_extend_bsp, luby_extend_bsp_bitset,
-    luby_extend_bsp_frontier, luby_extend_frontier,
-};
-use super::oriented::oriented_mis_extend_opts;
+use super::luby::{luby_extend, luby_extend_bsp, luby_extend_bsp_frontier, luby_extend_frontier};
+use super::oriented::oriented_mis_extend;
 use super::status::{IN, OUT, UNDECIDED};
 use super::MisRun;
 use crate::common::{Arch, FrontierMode, RunStats, SolveOpts};
@@ -61,14 +58,6 @@ fn base_mis_extend(
         (Arch::GpuSim, FrontierMode::Compact) => {
             let exec = BspExecutor::inheriting(counters);
             luby_extend_bsp_frontier(g, view, status, allowed, seed, &exec, scratch);
-            counters.merge(exec.counters());
-        }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            luby_extend_bitset(g, view, status, allowed, seed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            luby_extend_bsp_bitset(g, view, status, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
     }
@@ -356,14 +345,7 @@ pub(crate) fn mis_degk_solve(
     {
         let _span = counters.phase("fringe-peel");
         if k <= 2 {
-            oriented_mis_extend_opts(
-                g,
-                d.low_view(),
-                &mut status,
-                Some(&low_side),
-                &counters,
-                opts.frontier,
-            );
+            oriented_mis_extend(g, d.low_view(), &mut status, Some(&low_side), &counters);
         } else {
             base_mis_extend(
                 g,

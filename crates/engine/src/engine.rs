@@ -289,7 +289,8 @@ impl Engine {
     /// [`Engine::solve_on`] with the graph's cache fingerprint supplied by
     /// the caller instead of recomputed. This is how edited graphs keep
     /// their `(base, edit log)` identity: [`Engine::apply_edits`] keys its
-    /// patched decompositions under [`fingerprint_with_edits`], and solves
+    /// patched decompositions under
+    /// [`fingerprint_with_edits`](crate::fingerprint::fingerprint_with_edits), and solves
     /// against the materialized graph must probe under that same key (the
     /// heap content hash of the materialized CSR would both miss the
     /// patched entries and cost O(m) on every call).

@@ -15,7 +15,7 @@
 //! problem = "mm"        # mm | color | mis
 //! algo = "rand:10"      # baseline | bridge | rand[:P] | degk[:K] | bicc
 //! arch = "cpu"          # cpu | gpu (default cpu)
-//! frontier = "compact"  # dense | compact | bitset (default compact)
+//! frontier = "compact"  # dense | compact (default compact)
 //! threads = 4           # optional per-job pool pin
 //! timeout_ms = 60000    # optional watchdog budget
 //! graph_seed = 7        # optional; generation seed (defaults to seed)

@@ -250,8 +250,8 @@ fn run_static_self_tests(args: &Args) -> Result<(), ExitCode> {
     }
 
     // Phase 1c: the mode matrix must catch a planted word-boundary
-    // off-by-one in the bitset frontier path — MIS bits flipped at
-    // vertices 63/64/65, the seam between u64 words 0 and 1.
+    // off-by-one in the compact (bitset) frontier path — MIS bits flipped
+    // at vertices 63/64/65, the seam between u64 words 0 and 1.
     {
         use sb_core::{Algo, Arch, Solver};
         use sb_fuzz::SolverConfig;

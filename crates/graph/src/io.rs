@@ -253,10 +253,10 @@ fn parse_edge_str(
 /// declared size. Ids above [`MAX_VERTEX_ID`] are rejected with
 /// [`IoError::IdOverflow`] in either mode.
 ///
-/// Lines come from a [`LineScanner`]; the common `u v` shape is parsed
-/// from bytes ([`scan_pair`]) and every other line takes the `str` path,
-/// which alone decides what is an error. Parsed edges stream through a
-/// bounded chunk buffer ([`CHUNK_EDGES`]) flushed into the
+/// Lines come from a private `LineScanner`; the common `u v` shape is
+/// parsed from bytes (`scan_pair`) and every other line takes the `str`
+/// path, which alone decides what is an error. Parsed edges stream through
+/// a bounded chunk buffer (`CHUNK_EDGES` edges) flushed into the
 /// [`GraphBuilder`] as it fills, so ingesting a 100M+ edge list holds one
 /// copy of the edges (the builder's), not two, and never the whole file.
 /// The `sb_graph_io_parse_buffer_peak_bytes` gauge records the staging
@@ -369,8 +369,7 @@ fn parse_entry_str(line: usize, bytes: &[u8]) -> Result<Option<(u64, u64)>, IoEr
 /// Accepts `pattern`/`real`/`integer` fields and `general`/`symmetric`
 /// symmetry; numeric values are ignored (the study treats all graphs as
 /// unweighted). Entries are 1-based per the format. Lines come from the
-/// same [`LineScanner`] and [`scan_pair`] fast path as the edge-list
-/// reader.
+/// same `LineScanner` and `scan_pair` fast path as the edge-list reader.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Graph, IoError> {
     let t = std::time::Instant::now();
     let mut lines = LineScanner::new(reader);

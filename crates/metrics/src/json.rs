@@ -174,11 +174,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a valid &str).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of unescaped bytes up to the next `"`
+                // or `\` at once. Both are ASCII, so they never occur inside
+                // a multi-byte UTF-8 sequence: the run of a valid &str is
+                // itself valid UTF-8, and each byte is validated once.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -272,6 +278,23 @@ mod tests {
         let doc = format!("{{\"k\":\"{}\"}}", escape(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn megabyte_string_with_every_escape_decodes_exactly() {
+        // One chunk exercises every escape the reader knows plus 2-, 3- and
+        // 4-byte UTF-8 runs; repeated past 1 MB of JSON text, the parse
+        // must stay linear and decode byte-for-byte.
+        let raw_chunk = r#"héllo \" \\ \/ \n \r \t \b \f \u00e9\u4e16 世界 🎉 "#;
+        let want_chunk = "héllo \" \\ / \n \r \t \u{8} \u{c} é世 世界 🎉 ";
+        let reps = (1 << 20) / raw_chunk.len() + 1;
+        let doc = format!("{{\"k\":\"{}\"}}", raw_chunk.repeat(reps));
+        assert!(doc.len() >= 1 << 20);
+        let v = parse(&doc).unwrap();
+        assert_eq!(
+            v.get("k").unwrap().as_str(),
+            Some(want_chunk.repeat(reps).as_str())
+        );
     }
 
     #[test]

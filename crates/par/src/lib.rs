@@ -13,10 +13,10 @@
 //!   structure that drives the paper's round-count comparisons.
 //!
 //! Supporting modules: [`atomic`] (atomic min/CAS helpers and a concurrent
-//! bitset), [`frontier`] (active-set worklist compaction and the scratch
-//! buffer arena the frontier solver variants borrow their per-call working
-//! memory from), [`counters`] (instrumentation shared by all algorithms plus the
-//! K40c cost model), [`exec`] (thread-pool scoping — the one place thread
+//! bitset), [`frontier`] (the u64-bitset live set the round loops compact
+//! between rounds, and the scratch buffer arena the frontier solver
+//! variants borrow their per-call working memory from), [`counters`]
+//! (instrumentation shared by all algorithms plus the K40c cost model), [`exec`] (thread-pool scoping — the one place thread
 //! counts are pinned for ablations and tests), [`rng`] (counter-based
 //! splittable random numbers so parallel algorithms are deterministic for a
 //! given seed regardless of thread count), and [`union_find`] (lock-free
@@ -34,7 +34,4 @@ pub mod union_find;
 pub use bsp::BspExecutor;
 pub use counters::{Counters, PhaseGuard, RoundScope};
 pub use exec::{current_threads, with_threads};
-pub use frontier::{compact_active, compact_range, Frontier, Scratch, ScratchStats};
-// Re-exported so downstream crates (and the integration tests) can pin the
-// pool's claim discipline without depending on the rayon shim directly.
-pub use rayon::{schedule_strategy, set_schedule_strategy, ScheduleStrategy};
+pub use frontier::{compact_range, BitFrontier, Scratch, ScratchStats};

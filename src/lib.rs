@@ -66,6 +66,6 @@ pub mod prelude {
     pub use sb_graph::stats::GraphStats;
     pub use sb_graph::store::{FileIdent, GraphStore, Mapping};
     pub use sb_par::counters::Counters;
-    pub use sb_par::frontier::{Frontier, Scratch};
+    pub use sb_par::frontier::{BitFrontier, Scratch};
     pub use sb_trace::{TraceSink, TraceSummary};
 }

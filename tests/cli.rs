@@ -454,3 +454,56 @@ fn bad_algo_labels_get_one_message_on_every_surface() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn retired_bitset_frontier_gets_one_message_on_every_surface() {
+    use symmetry_breaking::engine::protocol::SolveParams;
+    use symmetry_breaking::engine::{Client, ServeConfig, Server};
+    use symmetry_breaking::prelude::FrontierMode;
+
+    let message = "bitset".parse::<FrontierMode>().unwrap_err();
+    assert_eq!(
+        message,
+        "frontier mode must be dense or compact, got 'bitset'"
+    );
+
+    let out = sbreak(&[
+        "solve",
+        "gen:lp1",
+        "--scale",
+        "0.02",
+        "--problem",
+        "mm",
+        "--frontier",
+        "bitset",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "solve --frontier bitset");
+    assert!(stderr(&out).contains(&message), "{}", stderr(&out));
+
+    let dir = std::env::temp_dir().join("sbreak-cli-bitset-frontier");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let jobs = dir.join("bitset.toml");
+    std::fs::write(
+        &jobs,
+        "[[job]]\ngraph = \"gen:lp1\"\nproblem = \"mm\"\nalgo = \"baseline\"\nfrontier = \"bitset\"\n",
+    )
+    .unwrap();
+    let out = sbreak(&["batch", jobs.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "jobs file frontier bitset");
+    assert!(stderr(&out).contains(":5:"), "{}", stderr(&out));
+    assert!(stderr(&out).contains(&message), "{}", stderr(&out));
+
+    let server = Server::spawn(ServeConfig::default()).expect("bind loopback");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut params = SolveParams::new("gen:lp1", "mm", "baseline");
+    params.frontier = "bitset".into();
+    let reply = client.solve(&params).unwrap();
+    assert_eq!(reply.status(), "error");
+    assert_eq!(reply.str_field("code"), Some("bad_request"));
+    assert_eq!(reply.str_field("detail"), Some(message.as_str()));
+    server.shutdown();
+    drop(client);
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,14 +1,12 @@
-//! Frontier-compaction equivalence: the compacted-worklist solvers
-//! (`FrontierMode::Compact`, the default) and the u64-bitset solvers
-//! (`FrontierMode::Bitset`) must produce byte-identical assignments to
-//! the dense full-sweep forms wherever that identity is documented, while
-//! scanning strictly fewer edges — and the scratch arena must stop
-//! allocating after the first solve on it.
+//! Frontier-compaction equivalence: the compacted u64-bitset solvers
+//! (`FrontierMode::Compact`, the default) must produce byte-identical
+//! assignments to the dense full-sweep forms wherever that identity is
+//! documented, while scanning strictly fewer edges — and the scratch arena
+//! must stop allocating after the first solve on it.
 //!
-//! The byte-identity pins run at 1 and `wide()` threads for each of the
-//! three modes; below them, a randomized property test drives the
-//! `ActiveSet` trait directly, checking `BitFrontier` (and the worklist
-//! `Frontier`) against a plain boolean-array model over seeded op
+//! The byte-identity pins run at 1 and `wide()` threads for both modes;
+//! below them, a randomized property test drives `BitFrontier` directly,
+//! checking it against a plain boolean-array model over seeded op
 //! sequences whose universes straddle the u64 word boundaries.
 //!
 //! VB coloring is the documented exception: its speculative
@@ -17,7 +15,6 @@
 
 use std::sync::Arc;
 use symmetry_breaking::core::mis::luby::luby_extend_frontier;
-use symmetry_breaking::par::frontier::{ActiveSet, BitFrontier, MarkSet};
 use symmetry_breaking::par::with_threads;
 use symmetry_breaking::prelude::*;
 use symmetry_breaking::trace::{TraceEvent, TraceSink};
@@ -55,14 +52,9 @@ fn gm_matching_frontier_byte_identical_to_dense() {
             ] {
                 let dense = mm(&g, algo, Arch::Cpu, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::Cpu, FrontierMode::Compact).mate;
-                let bitset = mm(&g, algo, Arch::Cpu, FrontierMode::Bitset).mate;
                 assert_eq!(
                     dense, compact,
                     "{algo:?} dense/compact diverged at {threads} threads"
-                );
-                assert_eq!(
-                    compact, bitset,
-                    "{algo:?} compact/bitset diverged at {threads} threads"
                 );
                 check_maximal_matching(&g, &compact).unwrap();
             }
@@ -79,14 +71,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_full_view() {
         with_threads(threads, || {
             let dense = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
             let compact = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Compact).mate;
-            let bitset = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Bitset).mate;
             assert_eq!(
                 dense, compact,
                 "LMAX dense/compact diverged at {threads} threads"
-            );
-            assert_eq!(
-                compact, bitset,
-                "LMAX compact/bitset diverged at {threads} threads"
             );
             check_maximal_matching(&g, &compact).unwrap();
         });
@@ -106,14 +93,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_masked_views() {
             for algo in [Algo::Rand { partitions: 5 }, Algo::Degk { k: 2 }] {
                 let dense = mm(&g, algo, Arch::GpuSim, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::GpuSim, FrontierMode::Compact).mate;
-                let bitset = mm(&g, algo, Arch::GpuSim, FrontierMode::Bitset).mate;
                 assert_eq!(
                     dense, compact,
                     "{algo:?} on gpu-sim dense/compact diverged at {threads} threads"
-                );
-                assert_eq!(
-                    compact, bitset,
-                    "{algo:?} on gpu-sim compact/bitset diverged at {threads} threads"
                 );
                 check_maximal_matching(&g, &compact).unwrap();
             }
@@ -130,14 +112,9 @@ fn luby_mis_frontier_byte_identical_to_dense() {
                 for algo in [Algo::Baseline, Algo::Rand { partitions: 5 }] {
                     let dense = mis(&g, algo, arch, FrontierMode::Dense).in_set;
                     let compact = mis(&g, algo, arch, FrontierMode::Compact).in_set;
-                    let bitset = mis(&g, algo, arch, FrontierMode::Bitset).in_set;
                     assert_eq!(
                         dense, compact,
                         "{algo:?}/{arch} dense/compact diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        compact, bitset,
-                        "{algo:?}/{arch} compact/bitset diverged at {threads} threads"
                     );
                     check_maximal_independent_set(&g, &compact).unwrap();
                 }
@@ -166,23 +143,10 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
             &SolveOpts::with_mode(FrontierMode::Compact),
         )
         .color;
-        let bitset = vertex_coloring_opts(
-            &g,
-            Algo::Baseline,
-            Arch::Cpu,
-            7,
-            &SolveOpts::with_mode(FrontierMode::Bitset),
-        )
-        .color;
         assert_eq!(dense, compact, "VB dense/compact diverged at 1 thread");
-        assert_eq!(compact, bitset, "VB compact/bitset diverged at 1 thread");
     });
     with_threads(wide(), || {
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let run = vertex_coloring_opts(
                 &g,
                 Algo::Baseline,
@@ -197,38 +161,23 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
 
 #[test]
 fn compact_mode_scans_fewer_edges() {
-    // Compact must beat dense outright; bitset holds the same member sets
-    // as compact, so its logical edge work must not exceed compact's.
+    // Compact must beat dense outright.
     let g = graph();
     let dense = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     let compact = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "GM compact scanned {} edges, dense {}",
         compact.stats.counters.edges_scanned,
         dense.stats.counters.edges_scanned,
     );
-    assert!(
-        bitset.stats.counters.edges_scanned <= compact.stats.counters.edges_scanned,
-        "GM bitset scanned {} edges, compact {}",
-        bitset.stats.counters.edges_scanned,
-        compact.stats.counters.edges_scanned,
-    );
     let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     let compact = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "Luby compact scanned {} edges, dense {}",
         compact.stats.counters.edges_scanned,
         dense.stats.counters.edges_scanned,
-    );
-    assert!(
-        bitset.stats.counters.edges_scanned <= compact.stats.counters.edges_scanned,
-        "Luby bitset scanned {} edges, compact {}",
-        bitset.stats.counters.edges_scanned,
-        compact.stats.counters.edges_scanned,
     );
 }
 
@@ -321,7 +270,7 @@ fn runstats_carry_the_scratch_arena_snapshot() {
     let _ = dense.stats.scratch.reuses;
 }
 
-// ---- randomized ActiveSet equivalence against a boolean-array model ----
+// ---- randomized BitFrontier equivalence against a boolean-array model ----
 
 /// splitmix64 finalizer: the property tests' only randomness source, so
 /// every run (and every failure) replays from `(n, seed)` alone.
@@ -349,7 +298,7 @@ fn op_of(seed: u64, round: u64) -> u64 {
 }
 
 /// Replay the op sequence against a plain boolean array: the ground truth
-/// every `ActiveSet` implementation must reproduce member-for-member.
+/// `BitFrontier` must reproduce member-for-member.
 fn model_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     let mut active: Vec<bool> = (0..n as u32).map(|i| keep(seed, u64::MAX, i)).collect();
     let mut log = Vec::new();
@@ -376,14 +325,14 @@ fn model_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     log
 }
 
-/// Drive one `ActiveSet` implementation through the same seeded sequence,
-/// rotating over every shrink op the trait offers (`retain`,
-/// `select_into`, `select_marked_into`, `reset_from`), and log the member
-/// list observed via `for_each_seq` before each op.
-fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
+/// Drive a `BitFrontier` through the same seeded sequence, rotating over
+/// every shrink op it offers (`retain`, `select_into`,
+/// `select_marked_into`, `reset_from`), and log the member list observed
+/// via `for_each_seq` before each op.
+fn drive_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     let mut scratch = Scratch::new();
-    let mut cur = W::take(&mut scratch);
-    let mut aux = W::take(&mut scratch);
+    let mut cur = scratch.take_frontier();
+    let mut aux = scratch.take_frontier();
     let mut log = Vec::new();
     cur.reset_range(n, move |i| keep(seed, u64::MAX, i));
     for round in 0..rounds {
@@ -406,7 +355,7 @@ fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
                 std::mem::swap(&mut cur, &mut aux);
             }
             2 => {
-                let marks = W::take_marks(&mut scratch, n, false);
+                let marks = scratch.take_marks(n, false);
                 for i in 0..n as u32 {
                     if marked(seed, round, i) {
                         marks.put(i, true);
@@ -414,7 +363,7 @@ fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
                 }
                 cur.select_marked_into(&marks, &mut aux);
                 std::mem::swap(&mut cur, &mut aux);
-                W::recycle_marks(marks, &mut scratch);
+                scratch.recycle_marks(marks);
             }
             _ => {
                 let survivors: Vec<u32> = members
@@ -425,13 +374,13 @@ fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
             }
         }
     }
-    cur.recycle(&mut scratch);
-    aux.recycle(&mut scratch);
+    scratch.recycle_frontier(cur);
+    scratch.recycle_frontier(aux);
     log
 }
 
 #[test]
-fn bitset_and_worklist_frontiers_match_the_boolean_array_model() {
+fn bit_frontier_matches_the_boolean_array_model() {
     // Universe sizes straddle the u64 word boundaries (63/64/65, 127/128/
     // 129) where bitset masking bugs live, plus a multi-word tail. Each
     // (n, seed) pair replays a full op sequence; the parallel ops run under
@@ -443,16 +392,10 @@ fn bitset_and_worklist_frontiers_match_the_boolean_array_model() {
                 for salt in 0..3u64 {
                     let seed = mix(n as u64 ^ salt.wrapping_mul(0x0005_DEEC_E66D));
                     let expect = model_ops(n, seed, ROUNDS);
-                    let bits = drive_ops::<BitFrontier>(n, seed, ROUNDS);
+                    let bits = drive_ops(n, seed, ROUNDS);
                     assert_eq!(
                         bits, expect,
                         "BitFrontier diverged from the boolean-array model \
-                         (n={n}, seed={seed:#x}, {threads} threads)"
-                    );
-                    let list = drive_ops::<Frontier>(n, seed, ROUNDS);
-                    assert_eq!(
-                        list, expect,
-                        "worklist Frontier diverged from the boolean-array model \
                          (n={n}, seed={seed:#x}, {threads} threads)"
                     );
                 }
